@@ -68,11 +68,6 @@ func TestCompareAndDeleteConformance(t *testing.T) {
 			func(i int) int { return i - 50 }, // negatives too
 			func(i int) string { return fmt.Sprintf("value-%d", i) })
 	})
-	t.Run("word/tsx", func(t *testing.T) {
-		cadConformance(t, growt.New[uint64, uint32](growt.WithTSX()),
-			func(i int) uint64 { return uint64(i) },
-			func(i int) uint32 { return uint32(i) + 1 })
-	})
 	t.Run("word/bounded", func(t *testing.T) {
 		cadConformance(t, growt.New[uint64, uint64](growt.WithBounded(4096)),
 			func(i int) uint64 { return uint64(i) + 1 },

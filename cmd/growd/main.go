@@ -9,20 +9,20 @@
 //
 //	growd                                  # uaGrow table on :7420
 //	growd -addr :9000 -strategy usGrow
-//	growd -capacity 1048576 -tsx
+//	growd -capacity 1048576
 //	growd -default-ttl 30s -max-entries 1000000   # bounded cache mode
-//	growd -debug :8420                     # debug HTTP: /metrics, /debug/vars, /debug/pprof, /debug/events
+//	growd -debug :8420                     # debug HTTP: /metrics, /debug/pprof, /debug/events
 //	growd -log-format json -slow-op 500us  # structured logs, tighter slow-op capture
 //
 // The -debug listener is the observability surface: Prometheus text at
 // /metrics (the process-wide obs registry — per-opcode latency
 // histograms, migration-pause tracing, cache counters, plus the
 // runtime/metrics bridge's GC-pause and sched-latency gauges; see
-// docs/OBSERVABILITY.md), expvar at /debug/vars, net/http/pprof at
-// /debug/pprof, and the flight recorder's recent event window as JSON
-// at /debug/events. The same registry is served in-protocol by the
-// STATS opcode and the slow-op log by SLOWLOG, so clients can scrape
-// without any HTTP listener at all.
+// docs/OBSERVABILITY.md), net/http/pprof at /debug/pprof, and the
+// flight recorder's recent event window as JSON at /debug/events. The
+// same registry is served in-protocol by the STATS opcode and the
+// slow-op log by SLOWLOG, so clients can scrape without any HTTP
+// listener at all.
 //
 // Logs go through log/slog, component-tagged; -log-format picks the
 // text (default) or JSON handler. SIGQUIT dumps the flight-recorder
@@ -35,7 +35,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -59,8 +58,7 @@ func main() {
 		addr      = flag.String("addr", server.DefaultAddr, "listen address")
 		strategy  = flag.String("strategy", "uaGrow", "growing strategy: uaGrow, usGrow, paGrow, psGrow")
 		capacity  = flag.Uint64("capacity", 0, "initial cell count (0 = library default)")
-		tsx       = flag.Bool("tsx", false, "route writes through emulated restricted transactions")
-		debug     = flag.String("debug", "", "optional HTTP address exposing /metrics, /debug/vars, /debug/pprof, /debug/events")
+		debug     = flag.String("debug", "", "optional HTTP address exposing /metrics, /debug/pprof, /debug/events")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown budget before force-closing sessions")
 		maxFrame  = flag.Uint("maxframe", server.DefaultMaxFrame, "per-frame byte cap")
 		logFormat = flag.String("log-format", "text", "log handler: text or json")
@@ -86,7 +84,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts, err := tableOptions(*strategy, *capacity, *tsx)
+	opts, err := tableOptions(*strategy, *capacity)
 	if err != nil {
 		log.Error("bad table flags", "err", err)
 		os.Exit(1)
@@ -113,11 +111,6 @@ func main() {
 		SlowOpThreshold: *slowOp,
 	})
 
-	// Counters — including the cache layer's hits/misses/expired/evicted
-	// — ride expvar so any scraper of /debug/vars sees them next to the
-	// runtime's memstats.
-	expvar.Publish("growd", expvar.Func(func() any { return srv.Stats() }))
-	expvar.Publish("growd.size", expvar.Func(func() any { return st.C.Len() }))
 	if *debug != "" {
 		dlog := logger.With("component", "debug-http")
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -224,7 +217,7 @@ func newLogger(format string) (*slog.Logger, error) {
 }
 
 // tableOptions maps the flags onto the library's functional options.
-func tableOptions(strategy string, capacity uint64, tsx bool) ([]growt.Option, error) {
+func tableOptions(strategy string, capacity uint64) ([]growt.Option, error) {
 	var opts []growt.Option
 	switch strategy {
 	case "uaGrow":
@@ -240,9 +233,6 @@ func tableOptions(strategy string, capacity uint64, tsx bool) ([]growt.Option, e
 	}
 	if capacity > 0 {
 		opts = append(opts, growt.WithCapacity(capacity))
-	}
-	if tsx {
-		opts = append(opts, growt.WithTSX())
 	}
 	return opts, nil
 }

@@ -36,7 +36,7 @@ const (
 
 // wordKeyCodec returns the bijection between K and uint64 for built-in
 // integer and bool key types. ok reports whether K takes the word route;
-// strings and all other comparable types are handled elsewhere.
+// every other comparable type takes the generic route.
 //
 // The pointer puns are exact: each case fixes K's dynamic type, so &k
 // really addresses a value of the punned type.
@@ -87,20 +87,6 @@ func wordKeyCodec[K comparable]() (enc func(K) uint64, dec func(uint64) K, ok bo
 	}
 	return nil, nil, false
 }
-
-// isStringKey reports whether K is exactly the built-in string type (the
-// §5.7 route). Named string types take the generic route, which needs no
-// per-type conversion.
-func isStringKey[K comparable]() bool {
-	var zk K
-	_, ok := any(zk).(string)
-	return ok
-}
-
-// asString / fromString convert between K and string inside the string
-// backend, where K's dynamic type is known to be string.
-func asString[K comparable](k K) string   { return *(*string)(unsafe.Pointer(&k)) }
-func fromString[K comparable](s string) K { return *(*K)(unsafe.Pointer(&s)) }
 
 // slotArena is the append-only indirection store for values that do not
 // fit a word. Slot indices are reserved with an atomic bump, so
@@ -278,9 +264,11 @@ func escapingCodec[V any](toWord func(V) uint64, fromWord func(uint64) V) *valCo
 	}
 }
 
-// defaultHasher builds the 64-bit hash for generic-route keys. Floats get
-// a dedicated unsafe fast path; everything else is canonicalized by a
-// reflect walk into a seeded maphash. The walk respects ==-equality
+// defaultHasher builds the 64-bit hash for generic-route keys. Floats and
+// string-kinded keys (string itself and named string types) get
+// dedicated unsafe fast paths with no reflection and no allocation;
+// everything else is canonicalized by a reflect walk into a seeded
+// maphash. The walk respects ==-equality
 // (±0.0 hash alike, pointers/channels hash by identity), so two keys
 // that compare equal always hash equal. Collisions between distinct
 // keys are resolved by comparing stored keys, so hash quality affects
@@ -306,6 +294,10 @@ func defaultHasher[K comparable]() func(K) uint64 {
 		}
 	}
 	seed := maphash.MakeSeed()
+	if reflect.TypeOf((*K)(nil)).Elem().Kind() == reflect.String {
+		// K's underlying type is string, so &k addresses a string header.
+		return func(k K) uint64 { return maphash.String(seed, *(*string)(unsafe.Pointer(&k))) }
+	}
 	return func(k K) uint64 {
 		var h maphash.Hash
 		h.SetSeed(seed)

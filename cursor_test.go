@@ -2,10 +2,11 @@ package growt_test
 
 // Cursor conformance: Map.RangeFrom must, on a quiescent map, visit
 // every key exactly once across a batched walk — the resume never
-// re-visits and never skips a stable key — on all three key routes
-// (word, string, generic). Under a concurrent migration the guarantee
-// weakens to at-least-once for stable keys (the generation tag restarts
-// the retired table's phase), which the forced-migration test pins.
+// re-visits and never skips a stable key — on both key routes (word,
+// and generic with string and named-type keys). Under a concurrent
+// migration the guarantee weakens to at-least-once for stable keys (the
+// generation tag restarts the retired table's phase), which the
+// forced-migration test pins.
 
 import (
 	"fmt"

@@ -4,7 +4,7 @@
 // a mutex-protected map on the same workload and prints the top groups.
 //
 // The word-count flavor of the same pattern runs a string-keyed
-// growt.Map, which routes through the complex-key table of §5.7.
+// growt.Map, which takes the growing generic key route.
 package main
 
 import (
@@ -89,13 +89,13 @@ func main() {
 	wordCount()
 }
 
-// wordCount aggregates string keys; growt.New routes them to the §5.7
-// complex-key table. The handle-free Compute method keeps the worker
+// wordCount aggregates string keys; growt.New routes them to the growing
+// generic backend. The handle-free Compute method keeps the worker
 // loop down to one line.
 func wordCount() {
 	text := strings.Repeat("the quick brown fox jumps over the lazy dog the fox ", 2000)
 	words := strings.Fields(text)
-	m := growt.New[string, uint64](growt.WithBounded(1000))
+	m := growt.New[string, uint64]()
 	var wg sync.WaitGroup
 	chunk := len(words) / workers
 	for w := 0; w < workers; w++ {
@@ -111,6 +111,6 @@ func wordCount() {
 	wg.Wait()
 	the, _ := m.Load("the")
 	fox, _ := m.Load("fox")
-	fmt.Printf("word count over the string table: the=%d fox=%d (distinct words: %d)\n",
+	fmt.Printf("word count over string keys: the=%d fox=%d (distinct words: %d)\n",
 		the, fox, m.ApproxSize())
 }

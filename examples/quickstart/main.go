@@ -59,8 +59,7 @@ func main() {
 
 	// Handle-free convenience methods — a recycled handle per call, a
 	// drop-in sync.Map shape. Works for any key/value types; here a
-	// string-keyed map over the §5.7 complex-key table (bounded — size
-	// real ones with growt.WithBounded).
+	// string-keyed map, which grows like every other.
 	langs := growt.New[string, string]()
 	langs.Store("go", "gopher")
 	langs.Store("rust", "crab")

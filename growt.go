@@ -5,16 +5,18 @@
 //
 // It provides the bounded lock-free linear-probing "folklore" table (§4
 // of the paper), the four adaptively growing variants uaGrow / usGrow /
-// paGrow / psGrow built on scalable cluster migration (§5, §7), the
-// transaction-assisted tsxfolklore variants (§6, emulated HTM), the full
+// paGrow / psGrow built on scalable cluster migration (§5, §7), the full
 // 64-bit key-space wrapper (§5.6), and a complex-key string map (§5.7).
+// The transaction-assisted variants (§6, emulated HTM) live in
+// internal/core and are reachable through cmd/growbench only.
 //
 // # Quick start
 //
 // The primary API is the typed facade: New builds a Map[K, V] for any
 // comparable key type and any value type, routing to the right core
-// automatically (integer keys → §5.6 full-key word tables, string keys
-// → the §5.7 string table, everything else → a hash-to-64-bit codec):
+// automatically (integer keys → §5.6 full-key word tables, everything
+// else, strings included → a hash-to-64-bit codec over the same growing
+// tables):
 //
 //	m := growt.New[uint64, uint64]()        // uaGrow, growing
 //	h := m.Handle()                         // one handle per goroutine
@@ -33,9 +35,8 @@
 //	n, ok := counts.Load("gopher")
 //
 // Configuration is by functional options: WithStrategy picks the growing
-// variant (§7), WithBounded freezes capacity (§4 folklore), WithTSX uses
-// emulated memory transactions (§6), WithHasher supplies the hash for
-// generic key types.
+// variant (§7), WithBounded freezes capacity (§4 folklore), WithHasher
+// supplies the hash for generic key types.
 //
 // # The word-sized layer
 //
@@ -114,9 +115,6 @@ type Options struct {
 	Bounded bool
 	// Expected is the expected number of elements for bounded tables.
 	Expected uint64
-	// TSX routes write operations through emulated restricted memory
-	// transactions (§6).
-	TSX bool
 }
 
 // NewMap builds a word-sized concurrent hash table per opts.
@@ -126,17 +124,11 @@ func NewMap(opts Options) WordMap {
 		if n == 0 {
 			n = 1 << 20
 		}
-		if opts.TSX {
-			return core.NewTSXFolklore(n)
-		}
 		return core.NewFolklore(n)
 	}
 	capacity := opts.InitialCapacity
 	if capacity == 0 {
 		capacity = defaultInitialCapacity
-	}
-	if opts.TSX {
-		return core.NewGrowTSX(opts.Strategy, capacity)
 	}
 	return core.NewGrow(opts.Strategy, capacity)
 }

@@ -13,9 +13,7 @@ func TestPublicAPISmoke(t *testing.T) {
 		{Strategy: growt.USGrow},
 		{Strategy: growt.PAGrow},
 		{Strategy: growt.PSGrow},
-		{TSX: true},
 		{Bounded: true, Expected: 10000},
-		{Bounded: true, Expected: 10000, TSX: true},
 	} {
 		m := growt.NewMap(opts)
 		h := m.Handle()

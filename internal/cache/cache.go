@@ -36,7 +36,7 @@
 // The cache shares the root package's functional-option vocabulary:
 // WithTTL, WithMaxEntries, WithMaxBytes, and WithSweepInterval
 // configure this layer, and every other option (WithStrategy,
-// WithCapacity, WithTSX, WithHasher, ...) passes through to the
+// WithCapacity, WithHasher, ...) passes through to the
 // underlying growt.New.
 //
 // # Costs and deferrals
@@ -46,18 +46,18 @@
 // map's static per-entry cost estimate (growt.Map.EntryBytes — cell
 // words plus codec arena knowledge), so it inherits the entry budget's
 // enforcement exactly and its precision is that of the estimate. On the
-// generic key route (named types — the route growd's byte-string keys
-// take) evicted and expired values are ordinary heap objects reclaimed
-// by the GC; on the word and string key routes, wide values live in the
-// codec's append-only arenas, whose slots are reclaimed only when the
-// map itself is collected (the paper's §5.7 deferral) — a churn-heavy
-// bounded cache over those routes trades memory growth for lock
-// freedom. The sweeper visits at most its batch of entries per tick and
-// resumes where it stopped; a cursor invalidated by a table migration
-// restarts from the front, so a cycle spanning a migration may re-visit
-// entries (never skip stable ones). The eviction sample ring covers
-// min(budget rounded up, 2^22) recent writes — budgets beyond that get
-// window-LRU over the newest writes.
+// generic key route (strings, structs, named types — the route growd's
+// byte-string keys take) evicted and expired values are ordinary heap
+// objects reclaimed by the GC; on the word key route (built-in integer
+// and bool keys), wide values live in the codec's append-only arenas,
+// whose slots are reclaimed only when the map itself is collected (the
+// paper's §5.7 deferral) — a churn-heavy bounded cache over that route
+// trades memory growth for lock freedom. The sweeper visits at most its
+// batch of entries per tick and resumes where it stopped; a cursor
+// invalidated by a table migration restarts from the front, so a cycle
+// spanning a migration may re-visit entries (never skip stable ones).
+// The eviction sample ring covers min(budget rounded up, 2^22) recent
+// writes — budgets beyond that get window-LRU over the newest writes.
 package cache
 
 import (
@@ -391,10 +391,10 @@ func (c *Cache[K, V]) compareAndSwap(v view[K, V], k K, old, new V) (swapped, fo
 	_ = any(old) == any(old) // documented uncomparable-value panic
 	now := c.now()
 	// Steady-refusal fast path: decide absent/expired/mismatch from a
-	// plain read before touching Update. On the word and string routes a
-	// closure that returns cur unchanged is still re-encoded by the
-	// backend — one arena slot per refusal — so a hot mismatch loop must
-	// not reach the closure at all. The authoritative verdict for a
+	// plain read before touching Update. On the word route a closure
+	// that returns cur unchanged is still re-encoded by the backend — one
+	// arena slot per refusal — so a hot mismatch loop must not reach the
+	// closure at all. The authoritative verdict for a
 	// *successful* swap remains the Update CAS below.
 	it, ok := v.Load(k)
 	if !ok {

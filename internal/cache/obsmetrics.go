@@ -3,8 +3,8 @@ package cache
 import "repro/internal/obs"
 
 // Process-wide obs mirrors of the cache counters. Each Cache instance
-// keeps its own exact atomic counters (Stats() — tests and expvar
-// depend on per-instance exactness); the increments below additionally
+// keeps its own exact atomic counters (Stats() — tests depend on
+// per-instance exactness); the increments below additionally
 // land on obs.Default so growd's /metrics and STATS scrape expose the
 // cache layer next to the server and core-migration series. With
 // several Cache instances in one process the obs series are the sum —

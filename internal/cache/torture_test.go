@@ -83,7 +83,7 @@ func tortureCache(t *testing.T, c *Cache[uint64, int64], keys uint64, dur time.D
 }
 
 // TestCacheTortureExpiredNeverObservable wires the rack to tiny growing
-// tables (capacity 8, several strategies, with and without TSX) so
+// tables (capacity 8, several strategies) so
 // migrations run continuously under the expiry races.
 func TestCacheTortureExpiredNeverObservable(t *testing.T) {
 	dur := 2 * time.Second
@@ -96,7 +96,6 @@ func TestCacheTortureExpiredNeverObservable(t *testing.T) {
 	}{
 		{"uaGrow-cap8", []growt.Option{growt.WithCapacity(8)}},
 		{"usGrow-cap8", []growt.Option{growt.WithStrategy(growt.USGrow), growt.WithCapacity(8)}},
-		{"uaGrow-tsx-cap8", []growt.Option{growt.WithCapacity(8), growt.WithTSX()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := append(tc.opts, growt.WithSweepInterval(-1))

@@ -60,11 +60,11 @@ func (o *Options) defaults() {
 	}
 }
 
-// Stats is a snapshot of the server's counters, shaped for expvar. The
-// hit/miss/expired/evicted block is sourced from the cache layer: hits
-// and misses count GET/MGET outcomes, expired counts entries collected
-// past their deadline (lazily or by the sweeper), evicted counts live
-// entries removed to hold the -max-entries budget.
+// Stats is a snapshot of the server's counters. The hit/miss/expired/
+// evicted block is sourced from the cache layer: hits and misses count
+// GET/MGET outcomes, expired counts entries collected past their
+// deadline (lazily or by the sweeper), evicted counts live entries
+// removed to hold the -max-entries budget.
 type Stats struct {
 	ConnsAccepted uint64 `json:"conns_accepted"`
 	ConnsActive   int64  `json:"conns_active"`
@@ -175,9 +175,9 @@ func (s *Server) Obs() *obs.Registry { return s.m.reg }
 // tests read it directly.
 func (s *Server) SlowOps() []SlowEntry { return s.slow.snapshot() }
 
-// Stats snapshots the counters (expvar-friendly: growd publishes it via
-// expvar.Func), merging the cache layer's hit/miss/expired/evicted
-// block into the protocol-level counts. The per-op map is built from
+// Stats snapshots the counters (tests and growd's shutdown log read
+// it), merging the cache layer's hit/miss/expired/evicted block into
+// the protocol-level counts. The per-op map is built from
 // the opcode enum via the same OpName scan that registered the series.
 func (s *Server) Stats() Stats {
 	cs := s.st.C.Stats()

@@ -9,13 +9,13 @@ import (
 	"repro/internal/cache"
 )
 
-// Key is the server's map key type. It is a *named* string type on
-// purpose: the typed facade routes exactly `string` to the bounded §5.7
-// complex-key table, while named string types take the generic route —
-// a growing word core mapping the key's hash to a lock-free collision
-// chain — so a long-running server never hits a fixed table bound.
+// Key is the server's map key type: an opaque byte string. Like every
+// string-kinded key it takes the facade's generic route — a growing word
+// core mapping the key's hash to a lock-free collision chain — so a
+// long-running server never hits a fixed table bound.
 type Key string
 
+// storeSeed seeds the key hash the slow-op log records.
 var storeSeed = maphash.MakeSeed()
 
 // Store is the table a Server serves: a cache facade (per-entry TTL,
@@ -31,16 +31,11 @@ type Store struct {
 }
 
 // NewStore builds the served cache. opts are the facade's functional
-// options — the table-shaping ones (strategy, capacity, TSX) exactly as
-// growt.New accepts them, plus the cache-layer ones (WithTTL,
+// options — the table-shaping ones (strategy, capacity, hasher) exactly
+// as growt.New accepts them, plus the cache-layer ones (WithTTL,
 // WithMaxEntries, WithSweepInterval) — so growd exposes the same
-// configuration surface as the library. A fast maphash-based hasher is
-// installed first, which a caller-supplied WithHasher still overrides
-// (later options win).
+// configuration surface as the library.
 func NewStore(opts ...growt.Option) *Store {
-	opts = append([]growt.Option{growt.WithHasher(func(k Key) uint64 {
-		return maphash.String(storeSeed, string(k))
-	})}, opts...)
 	return &Store{C: cache.New[Key, string](opts...)}
 }
 

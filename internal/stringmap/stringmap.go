@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hashfn"
-	"repro/internal/tables"
 )
 
 const (
@@ -85,14 +84,9 @@ type Map struct {
 	cells    []uint64 // interleaved key/value words
 	capacity uint64
 	shift    uint
-	gen      uint64 // process-unique id tagging resumable cursors
 	ar       arena
 	size     atomic.Int64
 }
-
-// mapGen hands every Map a process-unique nonzero generation id for
-// RangeFrom cursors (0 is reserved for "no cursor").
-var mapGen atomic.Uint64
 
 // New builds a map with capacity ≥ 2·expected (the paper's sizing rule).
 //
@@ -108,7 +102,6 @@ func New(expected uint64) *Map {
 		cells:    make([]uint64, 2*capacity),
 		capacity: capacity,
 		shift:    64 - logCap,
-		gen:      mapGen.Add(1),
 	}
 }
 
@@ -315,44 +308,6 @@ func (h *Handle) Update(s string, d uint64, up func(cur, d uint64) uint64) bool 
 // Delete tombstones s; the arena bytes stay until Reset (the paper defers
 // key-space reclamation to migration phases).
 func (h *Handle) Delete(s string) bool {
-	_, ok := h.LoadAndDelete(s)
-	return ok
-}
-
-// LoadAndDelete tombstones s and returns the value the winning CAS
-// removed (exact: the CAS is the linearization point). ok is false when
-// s was absent.
-func (h *Handle) LoadAndDelete(s string) (uint64, bool) {
-	hash := hashfn.HashString(s)
-	sig := sigOf(hash)
-	mask := h.m.capacity - 1
-	i := hash >> h.m.shift
-	for probes := uint64(0); probes <= h.m.capacity; probes++ {
-		kw := h.m.loadKey(i)
-		if kw == 0 {
-			return 0, false
-		}
-		if kw&sigMask == sig && kw&pendingBit == 0 && h.m.ar.get(kw&refMask) == s {
-			for {
-				cur := h.m.loadVal(i)
-				if cur&liveBit == 0 {
-					return 0, false
-				}
-				if h.m.casVal(i, cur, cur&^liveBit) {
-					h.m.size.Add(-1)
-					return cur & valueMask, true
-				}
-			}
-		}
-		i = (i + 1) & mask
-	}
-	return 0, false
-}
-
-// CompareAndDelete tombstones s iff its current value word equals want;
-// the conditional CAS is the linearization point, so on true the removed
-// value was exactly want at the instant of removal.
-func (h *Handle) CompareAndDelete(s string, want uint64) bool {
 	hash := hashfn.HashString(s)
 	sig := sigOf(hash)
 	mask := h.m.capacity - 1
@@ -365,7 +320,7 @@ func (h *Handle) CompareAndDelete(s string, want uint64) bool {
 		if kw&sigMask == sig && kw&pendingBit == 0 && h.m.ar.get(kw&refMask) == s {
 			for {
 				cur := h.m.loadVal(i)
-				if cur&liveBit == 0 || cur&valueMask != want {
+				if cur&liveBit == 0 {
 					return false
 				}
 				if h.m.casVal(i, cur, cur&^liveBit) {
@@ -394,32 +349,4 @@ func (m *Map) Range(f func(s string, v uint64) bool) {
 			return
 		}
 	}
-}
-
-// RangeFrom resumes Range at cur (the shape of tables.CursorRanger,
-// with string keys). The map is bounded — no migrations — so the
-// generation only guards against cursors from a different Map instance;
-// a mismatch restarts from cell zero. Quiescent use only.
-func (m *Map) RangeFrom(cur tables.Cursor, f func(s string, v uint64) bool) (tables.Cursor, bool) {
-	pos := uint64(0)
-	if cur.Gen == m.gen {
-		pos = cur.Pos
-	}
-	for i := pos; i < m.capacity; i++ {
-		kw := m.loadKey(i)
-		if kw == 0 || kw&pendingBit != 0 {
-			continue
-		}
-		v := m.loadVal(i)
-		if v&liveBit == 0 {
-			continue
-		}
-		if !f(m.ar.get(kw&refMask), v&valueMask) {
-			if i+1 >= m.capacity {
-				return tables.Cursor{Gen: m.gen}, true
-			}
-			return tables.Cursor{Gen: m.gen, Pos: i + 1}, false
-		}
-	}
-	return tables.Cursor{Gen: m.gen}, true
 }

@@ -8,7 +8,6 @@ type config struct {
 	capacity uint64
 	bounded  bool
 	expected uint64
-	tsx      bool
 	// hasher holds a user-supplied func(K) uint64; it is stored as any
 	// because Option is deliberately non-generic (so option values can be
 	// built, stored, and passed around without naming K), and re-typed
@@ -25,24 +24,18 @@ type config struct {
 // (the paper's growing benchmarks start at 4096).
 const defaultInitialCapacity = 4096
 
-// defaultStringExpected sizes string-keyed maps when neither WithBounded
-// nor WithCapacity is given. The §5.7 complex-key table is bounded, so a
-// default bound must exist; 1<<16 keeps the untuned footprint at ~2 MiB.
-const defaultStringExpected = 1 << 16
-
 // Option configures a typed map built by New.
 type Option func(*config)
 
 // WithStrategy picks the growing variant (§7); default UAGrow, the
-// paper's headline configuration. Ignored by bounded and string-keyed
-// maps, which have no migration machinery.
+// paper's headline configuration. Ignored by WithBounded maps, which
+// have no migration machinery.
 func WithStrategy(s Strategy) Option {
 	return func(c *config) { c.strategy = s }
 }
 
 // WithCapacity sets the initial cell count of growing tables (rounded up
-// to a power of two by the core). For string-keyed maps — which are
-// bounded, §5.7 — it is the expected element count instead.
+// to a power of two by the core).
 func WithCapacity(cells uint64) Option {
 	return func(c *config) { c.capacity = cells }
 }
@@ -55,13 +48,6 @@ func WithBounded(expected uint64) Option {
 		c.bounded = true
 		c.expected = expected
 	}
-}
-
-// WithTSX routes write operations through emulated restricted memory
-// transactions (§6). Word-keyed maps only; string-keyed and generic-key
-// maps ignore it for their non-word state.
-func WithTSX() Option {
-	return func(c *config) { c.tsx = true }
 }
 
 // CacheSettings is the resolved state of the cache-layer options. The
@@ -134,8 +120,8 @@ func ResolveCacheSettings(opts ...Option) CacheSettings {
 }
 
 // WithHasher supplies the 64-bit hash used by maps whose keys take the
-// generic route (anything that is not a built-in integer, bool, or
-// string type). K must equal the map's key type or New panics. The
+// generic route (anything that is not a built-in integer or bool type;
+// strings included). K must equal the map's key type or New panics. The
 // facade is collision-correct — equal hashes are resolved by comparing
 // stored keys — so the hasher only affects performance, never results.
 func WithHasher[K comparable](h func(K) uint64) Option {

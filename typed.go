@@ -8,23 +8,22 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/stringmap"
 	"repro/internal/tables"
 )
 
 // This file is the typed public layer over the paper's word-sized cores:
-// one generic Map[K, V] in front of folklore, the four xyGrow variants,
-// the §5.6 full-key wrapper, and the §5.7 string map. New routes the key
-// type to the right backend:
+// one generic Map[K, V] in front of folklore, the four xyGrow variants
+// and the §5.6 full-key wrapper. New routes the key type to one of two
+// backends:
 //
 //   - built-in integer and bool keys → the full-key wrapper over the
 //     configured word core (§5.6), so the whole value range of the Go
 //     type is legal, including 0 and the reserved bit patterns;
-//   - string keys → the complex-key string table (§5.7);
-//   - every other comparable key → a hash-to-64-bit codec: the word core
-//     maps the key's hash to the head of a collision chain of typed
-//     entries in an append-only arena. Equality is decided on the stored
-//     keys, never on hashes, so any hash function is correct.
+//   - every other comparable key, string included → a hash-to-64-bit
+//     codec: the word core maps the key's hash to the head of a collision
+//     chain of typed entries in an append-only arena. Equality is decided
+//     on the stored keys, never on hashes, so any hash function is
+//     correct.
 //
 // Values ride the codec layer in codec.go: inline when they fit the
 // word domain, behind an indirection arena otherwise.
@@ -89,15 +88,11 @@ type backendHandle[K comparable, V any] interface {
 }
 
 // New builds a typed concurrent hash table. The default is the paper's
-// headline configuration — a growing uaGrow core starting at 4096 cells;
-// see WithStrategy, WithCapacity, WithBounded, WithTSX, and WithHasher.
+// headline configuration — a growing uaGrow core starting at 4096 cells,
+// for every key type; see WithStrategy, WithCapacity, WithBounded, and
+// WithHasher.
 //
-// One exception to "growing by default": string-keyed maps ride the
-// bounded §5.7 complex-key table. They hold at most WithBounded's (or
-// WithCapacity's) expected element count — 2^16 if neither is given —
-// and panic when full.
-//
-//	counts := growt.New[string, uint64](growt.WithBounded(1 << 20))
+//	counts := growt.New[string, uint64]()
 //	edges := growt.New[uint64, uint64](growt.WithStrategy(growt.USGrow))
 //	memo := growt.New[Point, Result](growt.WithHasher(hashPoint))
 func New[K comparable, V any](opts ...Option) *Map[K, V] {
@@ -106,15 +101,10 @@ func New[K comparable, V any](opts ...Option) *Map[K, V] {
 		o(&c)
 	}
 	var b backend[K, V]
-	switch {
-	case isStringKey[K]():
-		b = newStringBackend[K, V](&c)
-	default:
-		if kenc, kdec, ok := wordKeyCodec[K](); ok {
-			b = newWordBackend[K, V](&c, kenc, kdec)
-		} else {
-			b = newGenericBackend[K, V](&c)
-		}
+	if kenc, kdec, ok := wordKeyCodec[K](); ok {
+		b = newWordBackend[K, V](&c, kenc, kdec)
+	} else {
+		b = newGenericBackend[K, V](&c)
 	}
 	return &Map[K, V]{
 		b:       b,
@@ -131,15 +121,15 @@ func (m *Map[K, V]) Handle() *Handle[K, V] {
 // migration pools of paGrow/psGrow). Safe on every map.
 func (m *Map[K, V]) Close() { m.b.close() }
 
-// ApproxSize estimates the number of live elements (§5.2). String-keyed
-// and generic-keyed maps count exactly; word-keyed growing maps return
-// the paper's approximate per-handle-counter estimate.
+// ApproxSize estimates the number of live elements (§5.2). Generic-route
+// maps (string keys included) count exactly; word-keyed growing maps
+// return the paper's approximate per-handle-counter estimate.
 func (m *Map[K, V]) ApproxSize() uint64 { return m.b.approxSize() }
 
 // Generation returns the number of completed migrations (growth,
-// shrink, or cleanup) of the underlying growing core — 0 for bounded
-// string-keyed maps, which never migrate. Monotone; observability
-// layers stamp slow operations with the generation they ran against.
+// shrink, or cleanup) of the underlying growing core — 0 for WithBounded
+// maps, which never migrate. Monotone; observability layers stamp slow
+// operations with the generation they ran against.
 func (m *Map[K, V]) Generation() uint64 { return m.b.generation() }
 
 // Range calls fn for every element until fn returns false. Like every
@@ -208,9 +198,8 @@ func (h *Handle[K, V]) LoadAndDelete(k K) (value V, loaded bool) {
 // must be of a comparable dynamic type or CompareAndSwap panics.
 func (h *Handle[K, V]) CompareAndSwap(k K, old, new V) bool {
 	// Fire the documented uncomparable-value panic here, before any
-	// backend lock or TSX stripe transaction is held: a stored value can
-	// only panic the closure's == if it shares old's dynamic type, so
-	// validating old is sufficient.
+	// backend lock is held: a stored value can only panic the closure's
+	// == if it shares old's dynamic type, so validating old is sufficient.
 	_ = any(old) == any(old)
 	return h.h.compareAndSwap(k, old, new)
 }
@@ -227,59 +216,6 @@ func (h *Handle[K, V]) CompareAndDelete(k K, old V) bool {
 	// (see CompareAndSwap for why validating old is sufficient).
 	_ = any(old) == any(old)
 	return h.h.compareAndDelete(k, old)
-}
-
-// cadViaWords implements compareAndDelete over a word backend: find the
-// current word, refuse if it does not decode to old, then delete exactly
-// that word with the core's conditional tombstoning CAS. The successful
-// core CAS is the linearization point — at that instant the stored word
-// was the one observed to decode equal. A failed CAS (value changed
-// underneath) re-reads; arena references are never reused, so an equal
-// word always still decodes to the same value (no ABA).
-func cadViaWords[V any](vc *valCodec[V], old V, find func() (uint64, bool), cad func(w uint64) bool) bool {
-	for {
-		w, ok := find()
-		if !ok {
-			return false
-		}
-		if any(vc.dec(w)) != any(old) {
-			return false
-		}
-		if cad(w) {
-			return true
-		}
-	}
-}
-
-// casViaUpdate implements compareAndSwap over an Update-style word
-// backend (the word and string routes). The closure may run several
-// times under contention; the backend applies exactly its final
-// invocation, so the last verdict is the authoritative one. On mismatch
-// the *word* is returned unchanged — never re-encoded — so a refused
-// CAS allocates nothing. The new value is encoded at most once per
-// call; that one slot leaks only if a transiently-matching attempt is
-// finally refused (bounded by one slot per call, like any overwrite).
-// Both final conditions are required: the closure's last invocation
-// matching is not enough, because the backend reports applied=false
-// when its value-CAS lost to a concurrent delete after that
-// invocation, and then nothing was written.
-func casViaUpdate[V any](vc *valCodec[V], old, new V, update func(func(cur, d uint64) uint64) bool) bool {
-	swapped := false
-	var newW uint64
-	encoded := false
-	applied := update(func(cur, _ uint64) uint64 {
-		if any(vc.dec(cur)) != any(old) {
-			swapped = false
-			return cur
-		}
-		swapped = true
-		if !encoded {
-			newW = vc.enc(new)
-			encoded = true
-		}
-		return newW
-	})
-	return applied && swapped
 }
 
 // acquire borrows a free-listed handle for one handle-free operation.
@@ -511,7 +447,6 @@ func newWordCore(c *config) *core.FullKeys {
 			InitialCapacity: c.capacity,
 			Bounded:         c.bounded,
 			Expected:        c.expected,
-			TSX:             c.tsx,
 		})
 	})
 }
@@ -612,20 +547,57 @@ func (h *wordHandle[K, V]) find(k K) (V, bool) {
 
 func (h *wordHandle[K, V]) del(k K) bool { return h.h.Delete(h.b.kenc(k)) }
 
+// compareAndSwap rides the core's Update. The closure may run several
+// times under contention; the core applies exactly its final invocation,
+// so the last verdict is the authoritative one. On mismatch the *word*
+// is returned unchanged — never re-encoded — so a refused CAS allocates
+// nothing. The new value is encoded at most once per call; that one slot
+// leaks only if a transiently-matching attempt is finally refused
+// (bounded by one slot per call, like any overwrite). Both final
+// conditions are required: the closure's last invocation matching is not
+// enough, because the core reports applied=false when its value-CAS lost
+// to a concurrent delete after that invocation, and then nothing was
+// written.
 func (h *wordHandle[K, V]) compareAndSwap(k K, old, new V) bool {
-	return casViaUpdate(h.b.vc, old, new, func(up func(cur, d uint64) uint64) bool {
-		return h.h.Update(h.b.kenc(k), 0, up)
+	vc := h.b.vc
+	swapped, encoded := false, false
+	var newW uint64
+	applied := h.h.Update(h.b.kenc(k), 0, func(cur, _ uint64) uint64 {
+		if any(vc.dec(cur)) != any(old) {
+			swapped = false
+			return cur
+		}
+		swapped = true
+		if !encoded {
+			newW = vc.enc(new)
+			encoded = true
+		}
+		return newW
 	})
+	return applied && swapped
 }
 
+// compareAndDelete finds the current word, refuses if it does not decode
+// to old, then deletes exactly that word with the core's conditional
+// tombstoning CAS. The successful core CAS is the linearization point —
+// at that instant the stored word was the one observed to decode equal.
+// A failed CAS (value changed underneath) re-reads; arena references are
+// never reused, so an equal word always still decodes to the same value
+// (no ABA).
 func (h *wordHandle[K, V]) compareAndDelete(k K, old V) bool {
 	kw := h.b.kenc(k)
 	// Every word core behind the full-key wrapper implements
 	// tables.CompareAndDeleter (conditional tombstoning CAS).
 	cd := h.h.(tables.CompareAndDeleter)
-	return cadViaWords(h.b.vc, old,
-		func() (uint64, bool) { return h.h.Find(kw) },
-		func(w uint64) bool { return cd.CompareAndDelete(kw, w) })
+	for {
+		w, ok := h.h.Find(kw)
+		if !ok || any(h.b.vc.dec(w)) != any(old) {
+			return false
+		}
+		if cd.CompareAndDelete(kw, w) {
+			return true
+		}
+	}
 }
 
 func (h *wordHandle[K, V]) loadAndDelete(k K) (V, bool) {
@@ -633,111 +605,6 @@ func (h *wordHandle[K, V]) loadAndDelete(k K) (V, bool) {
 	// tables.LoadDeleter (its tombstoning CAS observes the value word it
 	// clears), so the decoded value is exactly the one removed.
 	w, ok := h.h.(tables.LoadDeleter).LoadAndDelete(h.b.kenc(k))
-	if !ok {
-		var zv V
-		return zv, false
-	}
-	return h.b.vc.dec(w), true
-}
-
-// ---------------------------------------------------------------------
-// String keys: codec over the complex-key table (§5.7).
-
-type stringBackend[K comparable, V any] struct {
-	sm *stringmap.Map
-	vc *valCodec[V]
-}
-
-func newStringBackend[K comparable, V any](c *config) *stringBackend[K, V] {
-	expected := c.expected
-	if !c.bounded {
-		expected = c.capacity
-	}
-	if expected == 0 {
-		expected = defaultStringExpected
-	}
-	return &stringBackend[K, V]{sm: stringmap.New(expected), vc: newValCodec[V]()}
-}
-
-func (b *stringBackend[K, V]) newHandle() backendHandle[K, V] {
-	return &stringHandle[K, V]{b: b, h: b.sm.Handle()}
-}
-func (b *stringBackend[K, V]) approxSize() uint64 { return b.sm.Size() }
-func (b *stringBackend[K, V]) generation() uint64 { return 0 } // bounded: never migrates
-func (b *stringBackend[K, V]) close()             {}
-func (b *stringBackend[K, V]) rangeAll(fn func(K, V) bool) {
-	b.sm.Range(func(s string, w uint64) bool { return fn(fromString[K](s), b.vc.dec(w)) })
-}
-func (b *stringBackend[K, V]) rangeFrom(cur tables.Cursor, fn func(K, V) bool) (tables.Cursor, bool) {
-	return b.sm.RangeFrom(cur, func(s string, w uint64) bool { return fn(fromString[K](s), b.vc.dec(w)) })
-}
-
-// entryBytes: two cell words, an arena copy of a typical short key
-// (length header plus ~14 bytes), and the value slot estimate.
-func (b *stringBackend[K, V]) entryBytes() uint64 { return 16 + 16 + b.vc.slotBytes }
-
-type stringHandle[K comparable, V any] struct {
-	b *stringBackend[K, V]
-	h *stringmap.Handle
-}
-
-func (h *stringHandle[K, V]) insert(k K, v V) bool {
-	s := asString(k)
-	if w, inline := h.b.vc.tryEnc(v); inline {
-		return h.h.Insert(s, w)
-	}
-	if _, present := h.h.Find(s); present {
-		return false
-	}
-	return h.h.Insert(s, h.b.vc.enc(v))
-}
-
-func (h *stringHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
-	return h.h.Update(asString(k), 0, func(cur, _ uint64) uint64 {
-		return h.b.vc.enc(up(h.b.vc.dec(cur), d))
-	})
-}
-
-func (h *stringHandle[K, V]) insertOrUpdate(k K, d V, up func(cur, d V) V) bool {
-	s := asString(k)
-	wrapped := func(cur, _ uint64) uint64 {
-		return h.b.vc.enc(up(h.b.vc.dec(cur), d))
-	}
-	if w, inline := h.b.vc.tryEnc(d); inline {
-		return h.h.InsertOrUpdate(s, w, wrapped)
-	}
-	if h.h.Update(s, 0, wrapped) {
-		return false
-	}
-	return h.h.InsertOrUpdate(s, h.b.vc.enc(d), wrapped)
-}
-
-func (h *stringHandle[K, V]) find(k K) (V, bool) {
-	w, ok := h.h.Find(asString(k))
-	if !ok {
-		var zv V
-		return zv, false
-	}
-	return h.b.vc.dec(w), true
-}
-
-func (h *stringHandle[K, V]) del(k K) bool { return h.h.Delete(asString(k)) }
-
-func (h *stringHandle[K, V]) compareAndSwap(k K, old, new V) bool {
-	return casViaUpdate(h.b.vc, old, new, func(up func(cur, d uint64) uint64) bool {
-		return h.h.Update(asString(k), 0, up)
-	})
-}
-
-func (h *stringHandle[K, V]) compareAndDelete(k K, old V) bool {
-	s := asString(k)
-	return cadViaWords(h.b.vc, old,
-		func() (uint64, bool) { return h.h.Find(s) },
-		func(w uint64) bool { return h.h.CompareAndDelete(s, w) })
-}
-
-func (h *stringHandle[K, V]) loadAndDelete(k K) (V, bool) {
-	w, ok := h.h.LoadAndDelete(asString(k))
 	if !ok {
 		var zv V
 		return zv, false
@@ -850,32 +717,14 @@ func (b *genericBackend[K, V]) generation() uint64 { return b.fk.Generation() }
 
 func (b *genericBackend[K, V]) close() { b.fk.Close() }
 
-// rangeAll walks the arena directly: every live (non-abandoned,
-// non-deleted) entry is exactly one element. Reserved-but-unwritten
-// indices (a writer between bump and page extension) are clamped away;
-// like every Range here, quiescent use only.
-func (b *genericBackend[K, V]) rangeAll(fn func(K, V) bool) {
-	n := b.ar.n.Load()
-	var pages []*[entryPageSize]entry[K, V]
-	if p := b.ar.pages.Load(); p != nil {
-		pages = *p
-	}
-	if avail := uint64(len(pages)) * entryPageSize; n > avail {
-		n = avail
-	}
-	for idx := uint64(0); idx < n; idx++ {
-		e := &pages[idx/entryPageSize][idx%entryPageSize]
-		if p := e.val.Load(); p != nil {
-			if !fn(e.key, *p) {
-				return
-			}
-		}
-	}
-}
+func (b *genericBackend[K, V]) rangeAll(fn func(K, V) bool) { b.rangeFrom(tables.Cursor{}, fn) }
 
-// rangeFrom resumes the arena walk at cur. The arena is append-only, so
-// the cursor is a plain entry index; entries appended after the cursor
-// was taken are picked up by the next wrapped walk. Quiescent use only.
+// rangeFrom walks the arena from cur: every live (non-abandoned,
+// non-deleted) entry is exactly one element. Reserved-but-unwritten
+// indices (a writer between bump and page extension) are clamped away.
+// The arena is append-only, so the cursor is a plain entry index;
+// entries appended after the cursor was taken are picked up by the next
+// wrapped walk. Quiescent use only.
 func (b *genericBackend[K, V]) rangeFrom(cur tables.Cursor, fn func(K, V) bool) (tables.Cursor, bool) {
 	pos := uint64(0)
 	if cur.Gen == b.gen {

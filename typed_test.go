@@ -52,8 +52,8 @@ func conformance[K comparable, V comparable](t *testing.T, m *growt.Map[K, V],
 		}
 	}
 
-	// ApproxSize is within the §5.2 estimator's tolerance (string and
-	// generic routes are exact, the word route is approximate).
+	// ApproxSize is within the §5.2 estimator's tolerance (the generic
+	// route is exact, the word route is approximate).
 	if s := m.ApproxSize(); s < n/2 || s > 2*n {
 		t.Fatalf("approx size %d for %d elements", s, n)
 	}
@@ -206,9 +206,6 @@ func TestTypedConformance(t *testing.T) {
 	})
 	t.Run("uint64-uint64-bounded", func(t *testing.T) {
 		conformance(t, growt.New[uint64, uint64](growt.WithBounded(2000)), u64key, u64val)
-	})
-	t.Run("uint64-uint64-tsx", func(t *testing.T) {
-		conformance(t, growt.New[uint64, uint64](growt.WithTSX()), u64key, u64val)
 	})
 	t.Run("string-uint64", func(t *testing.T) {
 		conformance(t, growt.New[string, uint64](), strkey, u64val)
@@ -442,9 +439,6 @@ func TestTypedConcurrentSmoke(t *testing.T) {
 			return point{X: int32(i), Y: int32(i * 7)}
 		})
 	})
-	t.Run("uint64-tsx", func(t *testing.T) {
-		raceSmoke(t, growt.New[uint64, uint64](growt.WithTSX()), func(i int) uint64 { return uint64(i) })
-	})
 }
 
 // loadAndDeleteTokens proves LoadAndDelete is atomic, not find-then-
@@ -524,9 +518,6 @@ func TestTypedLoadAndDeleteAtomic(t *testing.T) {
 	t.Run("word-bounded", func(t *testing.T) {
 		loadAndDeleteTokens(t, growt.New[uint64, uint64](growt.WithBounded(64)), uint64(7))
 	})
-	t.Run("word-tsx", func(t *testing.T) {
-		loadAndDeleteTokens(t, growt.New[uint64, uint64](growt.WithTSX()), uint64(7))
-	})
 	t.Run("string", func(t *testing.T) {
 		loadAndDeleteTokens(t, growt.New[string, uint64](), "the-key")
 	})
@@ -574,9 +565,6 @@ func TestTypedCompareAndSwapAtomic(t *testing.T) {
 	t.Run("word", func(t *testing.T) {
 		casCounter(t, growt.New[uint64, uint64](), uint64(99))
 	})
-	t.Run("word-tsx", func(t *testing.T) {
-		casCounter(t, growt.New[uint64, uint64](growt.WithTSX()), uint64(99))
-	})
 	t.Run("string", func(t *testing.T) {
 		casCounter(t, growt.New[string, uint64](), "ctr")
 	})
@@ -616,10 +604,10 @@ func TestTypedCompareAndSwapArenaValues(t *testing.T) {
 
 // TestTypedCompareAndSwapUncomparablePanics: sync.Map parity — CAS with
 // an uncomparable old value panics. The panic must fire before any
-// table lock or TSX stripe is entered and must not strand the pooled
-// handle, so the map stays fully usable after recovering.
+// table lock is entered and must not strand the pooled handle, so the
+// map stays fully usable after recovering.
 func TestTypedCompareAndSwapUncomparablePanics(t *testing.T) {
-	m := growt.New[uint64, []byte](growt.WithTSX())
+	m := growt.New[uint64, []byte]()
 	defer m.Close()
 	m.Store(1, []byte("x"))
 	for i := 0; i < 3; i++ { // repeated panics must not leak pooled handles
@@ -632,7 +620,7 @@ func TestTypedCompareAndSwapUncomparablePanics(t *testing.T) {
 			m.CompareAndSwap(1, []byte("x"), []byte("y"))
 		}()
 	}
-	// No stripe lock or handle was stranded: normal ops still work.
+	// No lock or handle was stranded: normal ops still work.
 	m.Store(1, []byte("z"))
 	if v, ok := m.Load(1); !ok || string(v) != "z" {
 		t.Fatalf("map unusable after recovered panics: %q, %v", v, ok)
@@ -668,5 +656,65 @@ func TestTypedConcurrentHandles(t *testing.T) {
 	}
 	if sum != workers*perKey {
 		t.Fatalf("sum %d want %d", sum, workers*perKey)
+	}
+}
+
+// TestStringKeysGrow: an unconfigured string-keyed map is a growing
+// table like every other — far past the old fixed 2^16 bound, every key
+// stays findable and the core has migrated.
+func TestStringKeysGrow(t *testing.T) {
+	const n = 300_000
+	m := growt.New[string, uint64]()
+	defer m.Close()
+	h := m.Handle()
+	for i := 0; i < n; i++ {
+		if !h.Insert(fmt.Sprint("key-", i), uint64(i)) {
+			t.Fatalf("insert %d refused", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := h.Find(fmt.Sprint("key-", i)); !ok || v != uint64(i) {
+			t.Fatalf("find %d = %d,%v", i, v, ok)
+		}
+	}
+	if m.Generation() == 0 {
+		t.Fatal("300000 keys from a 4096-cell start without a single migration")
+	}
+	if s := m.ApproxSize(); s != n {
+		t.Fatalf("size %d want %d", s, n)
+	}
+}
+
+// TestStringKeysBounded: WithBounded bounds a string-keyed map exactly
+// as it bounds every other key type — no growth, panic when full.
+func TestStringKeysBounded(t *testing.T) {
+	m := growt.New[string, uint64](growt.WithBounded(64))
+	defer m.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("bounded string-keyed map accepted 10000 keys")
+		}
+		if g := m.Generation(); g != 0 {
+			t.Fatalf("bounded map migrated %d times", g)
+		}
+	}()
+	for i := 0; i < 10_000; i++ {
+		m.Store(fmt.Sprint(i), 1)
+	}
+}
+
+// TestStringKeyHasher: WithHasher[string] is honoured (the old string
+// route silently ignored it).
+func TestStringKeyHasher(t *testing.T) {
+	calls := 0
+	m := growt.New[string, uint64](growt.WithHasher(func(s string) uint64 {
+		calls++
+		return uint64(len(s))
+	}))
+	defer m.Close()
+	m.Store("a", 1)
+	m.Store("b", 2) // same hash: resolved on the stored keys
+	if v, ok := m.Load("b"); !ok || v != 2 || calls == 0 {
+		t.Fatalf("Load(b) = %d,%v after %d hasher calls", v, ok, calls)
 	}
 }
