@@ -5,8 +5,6 @@ import (
 	"hash/maphash"
 	"math"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/hashfn"
@@ -21,10 +19,11 @@ import (
 // type is legal. Values of built-in integer or bool type are stored
 // directly when they fit 61 bits and escape into an indirection arena
 // otherwise; all other value types always live in the arena, with the
-// word cell holding the slot reference. The arenas are append-only —
-// slots orphaned by overwrites or deletes are reclaimed only when the map
-// itself is collected, mirroring the paper's decision (§5.7) to defer
-// complex-type space reclamation to cleanup phases.
+// word cell holding the slot reference. Value slots are never given back:
+// a slot orphaned by an overwrite or a delete of a wide value stays until
+// the map itself is collected — the paper's deferral of complex-type
+// space reclamation (§5.7), and the one deferral left: the generic key
+// route of typed.go reclaims everything it allocates.
 
 // directValMax is the largest value word stored inline; larger encodings
 // carry escapeBit plus an arena slot reference. Both fit the core's
@@ -86,66 +85,6 @@ func wordKeyCodec[K comparable]() (enc func(K) uint64, dec func(uint64) K, ok bo
 			func(w uint64) K { v := w != 0; return *(*K)(unsafe.Pointer(&v)) }, true
 	}
 	return nil, nil, false
-}
-
-// slotArena is the append-only indirection store for values that do not
-// fit a word. Slot indices are reserved with an atomic bump, so
-// concurrent writers only contend on the page-extension lock once per
-// slotPageSize allocations. Pages are fixed-size so a published slot's
-// address never moves; the page directory is replaced copy-on-write so
-// readers index a consistent snapshot without any lock.
-const slotPageSize = 512
-
-type slotArena[V any] struct {
-	mu    sync.Mutex // page extension only
-	n     atomic.Uint64
-	pages atomic.Pointer[[]*[slotPageSize]V]
-}
-
-// alloc stores v and returns its slot reference. Safe for concurrent use;
-// the reference must be published through an atomic (the word cell) so
-// readers observe the slot write.
-func (a *slotArena[V]) alloc(v V) uint64 {
-	idx := a.n.Add(1) - 1
-	page := idx / slotPageSize
-	for {
-		var pages []*[slotPageSize]V
-		if p := a.pages.Load(); p != nil {
-			pages = *p
-		}
-		if page < uint64(len(pages)) {
-			pages[page][idx%slotPageSize] = v
-			return idx
-		}
-		a.extend(page)
-	}
-}
-
-// extend grows the page directory to cover page (copy-on-write, under
-// the extension lock).
-func (a *slotArena[V]) extend(page uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var cur []*[slotPageSize]V
-	if p := a.pages.Load(); p != nil {
-		cur = *p
-	}
-	if page < uint64(len(cur)) {
-		return // another writer extended past us
-	}
-	next := make([]*[slotPageSize]V, page+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		next[i] = new([slotPageSize]V)
-	}
-	a.pages.Store(&next)
-}
-
-// get returns the value stored in slot idx. Slots are immutable once
-// published.
-func (a *slotArena[V]) get(idx uint64) V {
-	pages := *a.pages.Load()
-	return pages[idx/slotPageSize][idx%slotPageSize]
 }
 
 // valCodec encodes values of type V into the core's 62-bit word domain
@@ -230,10 +169,10 @@ func newValCodec[V any]() *valCodec[V] {
 			func(w uint64) V { v := uintptr(w); return *(*V)(unsafe.Pointer(&v)) })
 	}
 	// Wide values: every value lives in the arena, the word is the slot.
-	ar := &slotArena[V]{}
+	ar := newArena[V]()
 	return &valCodec[V]{
-		enc:       func(v V) uint64 { return ar.alloc(v) },
-		dec:       func(w uint64) V { return ar.get(w) },
+		enc:       ar.put,
+		dec:       func(w uint64) V { return *ar.get(w) },
 		tryEnc:    func(V) (uint64, bool) { return 0, false },
 		slotBytes: uint64(unsafe.Sizeof(zv)),
 	}
@@ -243,19 +182,19 @@ func newValCodec[V any]() *valCodec[V] {
 // split: words ≤ directValMax store inline, everything else (large
 // magnitudes, negatives) escapes to a slot.
 func escapingCodec[V any](toWord func(V) uint64, fromWord func(uint64) V) *valCodec[V] {
-	ar := &slotArena[V]{}
+	ar := newArena[V]()
 	return &valCodec[V]{
 		enc: func(v V) uint64 {
 			if w := toWord(v); w <= directValMax {
 				return w
 			}
-			return escapeBit | ar.alloc(v)
+			return escapeBit | ar.put(v)
 		},
 		dec: func(w uint64) V {
 			if w <= directValMax {
 				return fromWord(w)
 			}
-			return ar.get(w &^ escapeBit)
+			return *ar.get(w &^ escapeBit)
 		},
 		tryEnc: func(v V) (uint64, bool) {
 			w := toWord(v)

@@ -47,12 +47,14 @@
 // words plus codec arena knowledge), so it inherits the entry budget's
 // enforcement exactly and its precision is that of the estimate. On the
 // generic key route (strings, structs, named types — the route growd's
-// byte-string keys take) evicted and expired values are ordinary heap
-// objects reclaimed by the GC; on the word key route (built-in integer
-// and bool keys), wide values live in the codec's append-only arenas,
-// whose slots are reclaimed only when the map itself is collected (the
-// paper's §5.7 deferral) — a churn-heavy bounded cache over that route
-// trades memory growth for lock freedom. The sweeper visits at most its
+// byte-string keys take) an evicted or expired entry gives everything
+// back — value and key to the GC, hash cell to the core's next cleanup
+// migration, chain entry to an arena page released when all its entries
+// are — so memory follows the budget however many keys pass through. On
+// the word key route (built-in integer and bool keys) wide values live in
+// the codec's arena, whose slots are reclaimed only when the map itself
+// is collected (the paper's §5.7 deferral, the one left) — a churn-heavy
+// bounded cache over that route trades memory growth for lock freedom. The sweeper visits at most its
 // batch of entries per tick and resumes where it stopped; a cursor
 // invalidated by a table migration restarts from the front, so a cycle
 // spanning a migration may re-visit entries (never skip stable ones).

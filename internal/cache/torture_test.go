@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,6 +210,68 @@ func TestCacheTortureBudgetHolds(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evicted == 0 {
 		t.Fatal("no evictions under a 60× over-budget storm")
+	}
+}
+
+// TestCacheTortureChurnBounded: a 1 000-entry budget over a stream of
+// never-reused keys with a TTL — growd's session-id workload. Every key
+// ever written must be accounted for exactly once — still stored, expired
+// or evicted: a write lost to a chain being sealed and dropped under it,
+// or a removal counted twice, breaks the sum — a read that hits must see
+// its own key's value, and the heap must follow the budget, not the keys
+// ever seen.
+func TestCacheTortureChurnBounded(t *testing.T) {
+	total := 1_000_000
+	if testing.Short() {
+		total = 100_000
+	}
+	const workers, budget = 4, 1000
+	c := New[evKey, int64](growt.WithMaxEntries(budget), growt.WithTTL(2*time.Millisecond), growt.WithSweepInterval(-1))
+	defer c.Close()
+
+	heapAfterGC := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	write := func(from, to int) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := from; i < to; i++ {
+					k := evKey(uint64(w)<<32 | uint64(i))
+					c.Set(k, int64(k))
+					if v, ok := c.Get(k); ok && v != int64(k) {
+						t.Errorf("key %#x read back %#x", uint64(k), v)
+						return
+					}
+					if i%512 == 0 {
+						c.SweepOnce(256)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	warm := total / workers / 10
+	write(0, warm)
+	heap := heapAfterGC()
+	write(warm, total/workers)
+	if grew := int64(heapAfterGC()) - int64(heap); grew > 8<<20 {
+		t.Errorf("heap grew by %d bytes over %d keys under a %d-entry budget", grew, total-workers*warm, budget)
+	}
+	st := c.Stats()
+	if st.Expired == 0 || st.Evicted == 0 {
+		t.Errorf("expired %d, evicted %d: both removal paths must have run", st.Expired, st.Evicted)
+	}
+	stored := uint64(0)
+	c.m.Range(func(evKey, *item[int64]) bool { stored++; return true })
+	if written := uint64(total / workers * workers); stored+st.Expired+st.Evicted != written || stored != c.Len() {
+		t.Fatalf("%d keys written, but %d stored (Len %d) + %d expired + %d evicted", written, stored, c.Len(), st.Expired, st.Evicted)
 	}
 }
 

@@ -21,19 +21,17 @@ const (
 	seedLo uint32 = 0x85ebca6b
 )
 
-// crc32cUint64 computes the CRC32-C of the 8 bytes of x, starting from
-// seed, without allocating.
+// crc32cUint64 computes the CRC32-C of the 8 little-endian bytes of x,
+// starting from seed — crc32.Update's result, by the table, because a
+// slice handed to crc32.Update escapes (it is called through a function
+// variable) and would cost every table operation two allocations.
 func crc32cUint64(seed uint32, x uint64) uint32 {
-	var b [8]byte
-	b[0] = byte(x)
-	b[1] = byte(x >> 8)
-	b[2] = byte(x >> 16)
-	b[3] = byte(x >> 24)
-	b[4] = byte(x >> 32)
-	b[5] = byte(x >> 40)
-	b[6] = byte(x >> 48)
-	b[7] = byte(x >> 56)
-	return crc32.Update(seed, castagnoli, b[:])
+	crc := ^seed
+	for i := 0; i < 8; i++ {
+		crc = castagnoli[byte(crc)^byte(x)] ^ crc>>8
+		x >>= 8
+	}
+	return ^crc
 }
 
 // Hash64 maps a 64-bit key to a 64-bit pseudorandom hash using two

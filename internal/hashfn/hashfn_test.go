@@ -1,6 +1,8 @@
 package hashfn
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -10,6 +12,23 @@ func TestHash64Deterministic(t *testing.T) {
 		if Hash64(k) != Hash64(k) {
 			t.Fatalf("Hash64 not deterministic for %d", k)
 		}
+	}
+}
+
+// TestHash64IsCRC32C: the table loop must compute what crc32.Update
+// computes over the key's 8 little-endian bytes, without allocating.
+func TestHash64IsCRC32C(t *testing.T) {
+	for k := uint64(0); k < 10000; k++ {
+		x := k * 0x9E3779B97F4A7C15
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], x)
+		want := uint64(crc32.Update(seedHi, castagnoli, b[:]))<<32 | uint64(crc32.Update(seedLo, castagnoli, b[:]))
+		if got := Hash64(x); got != want {
+			t.Fatalf("Hash64(%#x) = %#x, crc32.Update gives %#x", x, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { Hash64(42) }); n != 0 {
+		t.Fatalf("Hash64 allocates %v times per call", n)
 	}
 }
 

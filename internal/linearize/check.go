@@ -61,6 +61,19 @@ func step(s kstate, op Op) (kstate, bool) {
 			return s, false
 		}
 		return s, true
+	case OpLoadAndDelete:
+		if op.Ok != s.present || (s.present && op.Out != s.val) {
+			return s, false
+		}
+		return kstate{}, true
+	case OpCompareAndDelete:
+		if op.Ok != (s.present && s.val == op.Val) {
+			return s, false
+		}
+		if op.Ok {
+			return kstate{}, true
+		}
+		return s, true
 	}
 	return s, false
 }

@@ -62,6 +62,11 @@ const (
 	OpAdd
 	// OpFind: Find(key) → (Out, Ok).
 	OpFind
+	// OpLoadAndDelete: a Delete whose Out must be the value it removed.
+	OpLoadAndDelete
+	// OpCompareAndDelete: CompareAndDelete(key, val) → Ok reports "held
+	// val and is now deleted" (false = absent or a different value).
+	OpCompareAndDelete
 )
 
 // String returns the operation name.
@@ -79,6 +84,10 @@ func (k OpKind) String() string {
 		return "InsertOrAdd"
 	case OpFind:
 		return "Find"
+	case OpLoadAndDelete:
+		return "LoadAndDelete"
+	case OpCompareAndDelete:
+		return "CompareAndDelete"
 	}
 	return "?"
 }
@@ -99,8 +108,8 @@ type Op struct {
 
 func (o Op) String() string {
 	switch o.Kind {
-	case OpFind:
-		return fmt.Sprintf("[%d,%d] Find(%d) = (%d,%v)", o.Start, o.End, o.Key, o.Out, o.Ok)
+	case OpFind, OpLoadAndDelete:
+		return fmt.Sprintf("[%d,%d] %s(%d) = (%d,%v)", o.Start, o.End, o.Kind, o.Key, o.Out, o.Ok)
 	case OpDelete:
 		return fmt.Sprintf("[%d,%d] Delete(%d) = %v", o.Start, o.End, o.Key, o.Ok)
 	default:

@@ -102,6 +102,41 @@ func TestLostDeleteRejected(t *testing.T) {
 	}
 }
 
+// The conditional and value-returning deletes: the value removed must be
+// the one the key held, and a refused CompareAndDelete changes nothing.
+func TestValueDeletes(t *testing.T) {
+	legal := []Op{
+		mkOp(OpInsert, 5, 7, 0, true, 1, 2),
+		mkOp(OpCompareAndDelete, 5, 8, 0, false, 3, 4), // wrong value: refused
+		mkOp(OpLoadAndDelete, 5, 0, 7, true, 5, 6),
+		mkOp(OpCompareAndDelete, 5, 7, 0, false, 7, 8), // absent: refused
+		mkOp(OpInsert, 5, 9, 0, true, 9, 10),
+		mkOp(OpCompareAndDelete, 5, 9, 0, true, 11, 12),
+		mkOp(OpLoadAndDelete, 5, 0, 0, false, 13, 14),
+	}
+	if err := CheckOps(legal); err != nil {
+		t.Fatalf("legal history rejected: %v", err)
+	}
+	for name, bad := range map[string][]Op{
+		"LoadAndDelete returned a value the key never held": {
+			mkOp(OpInsert, 5, 7, 0, true, 1, 2),
+			mkOp(OpLoadAndDelete, 5, 0, 8, true, 3, 4),
+		},
+		"CompareAndDelete removed a value that did not match": {
+			mkOp(OpInsert, 5, 7, 0, true, 1, 2),
+			mkOp(OpCompareAndDelete, 5, 8, 0, true, 3, 4),
+		},
+		"CompareAndDelete refused a matching value": {
+			mkOp(OpInsert, 5, 7, 0, true, 1, 2),
+			mkOp(OpCompareAndDelete, 5, 7, 0, false, 3, 4),
+		},
+	} {
+		if err := CheckOps(bad); err == nil {
+			t.Errorf("accepted: %s", name)
+		}
+	}
+}
+
 func TestStaleFindRejected(t *testing.T) {
 	ops := []Op{
 		mkOp(OpInsert, 5, 1, 0, true, 1, 2),

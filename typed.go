@@ -3,11 +3,11 @@ package growt
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/tables"
 )
 
@@ -21,12 +21,14 @@ import (
 //     type is legal, including 0 and the reserved bit patterns;
 //   - every other comparable key, string included → a hash-to-64-bit
 //     codec: the word core maps the key's hash to the head of a collision
-//     chain of typed entries in an append-only arena. Equality is decided
-//     on the stored keys, never on hashes, so any hash function is
-//     correct.
+//     chain of typed entries in a paged arena. Equality is decided on the
+//     stored keys, never on hashes, so any hash function is correct. A
+//     deleted key gives back its entry, its hash cell and, page by page,
+//     its arena memory ("Generic comparable keys" below).
 //
-// Values ride the codec layer in codec.go: inline when they fit the
-// word domain, behind an indirection arena otherwise.
+// Values on the integer route ride the codec layer in codec.go: inline
+// when they fit the word domain, behind a never-reclaimed indirection
+// arena otherwise — the one deferral of space reclamation left.
 
 // Map is a shared typed concurrent hash table built by New. The zero
 // value is not usable.
@@ -615,80 +617,67 @@ func (h *wordHandle[K, V]) loadAndDelete(k K) (V, bool) {
 // ---------------------------------------------------------------------
 // Generic comparable keys: hash-to-64-bit codec. The word core maps the
 // key's hash (through the full-key wrapper, so every hash value is a
-// legal word key) to the 1-based arena reference of the head of a
-// collision chain; chain entries hold the real key, an atomically
-// swappable value pointer (nil = deleted), and the next link. Chains are
-// append-only — the word cell for a hash is written once and entries are
-// never unlinked, so all mutation is a single CAS on a value pointer or
-// a next link.
+// legal word key) to the arena reference of the head of a collision
+// chain; a chain entry holds the real key, an atomically swappable value
+// pointer and the next link. An entry is born live and dies once: delete
+// swaps its value pointer to nil, and a later insert of the same key
+// appends a fresh entry at the chain's tail. A chain whose entries are
+// all dead is sealed — its tail's next link is swung from 0 to sealed, so
+// nothing can be appended any more — and then taken out of the core with
+// CompareAndDelete(hash, head). The core therefore sees every delete, and
+// its tombstone cleanup and shrinking (§5.4) bound the cell table by the
+// live keys; the winner of that CompareAndDelete gives the chain's
+// entries back to the arena, which retires a page once all of its entries
+// are back. Entries are never rewritten or handed out twice and Go's
+// collector is the grace period: a goroutine holding an *entry keeps
+// reading valid memory, one holding only a reference into a retired page
+// reads "absent" — rightly: that chain was sealed, hence all dead.
+//
+// The invariants this rests on, each with the test that exercises it:
+//
+//  1. Dead is permanent and a sealed chain is immutable: no value CAS
+//     leaves nil, no link CAS leaves sealed (TestGenericChainModel).
+//  2. At most one live entry per key is reachable from a cell: an insert
+//     links its entry with a CAS on the tail it reached after seeing
+//     every earlier entry of the key dead (TestFacadeLinearizable).
+//  3. Every entry is given back exactly once: by the CompareAndDelete
+//     winner for each entry of the chain it dropped, or by the allocating
+//     upsert for an entry it never linked (TestGenericChurnBounded: one
+//     miss pins a page, one double count retires a live one).
+//  4. A page is retired only when none of its entries is reachable from
+//     any cell: entries come back only after their cell is gone
+//     (TestCursorAcrossRetiredPages, TestGenericChainModel).
+//
+// What this does not reclaim: a chain that never dies out keeps its dead
+// entries (a hasher that makes a long-lived key collide with churning
+// ones grows their chain by an entry per re-insert — a 64-bit hash does
+// not), and a WithBounded map's folklore core keeps a tombstone per hash
+// ever seen (no migration, no cleanup), so there only entries and pages
+// come back.
 
-const entryPageSize = 256
+// sealed in an entry's next link closes the chain: it is all dead and its
+// cell is being, or has been, removed from the core.
+const sealed = ^uint64(0)
 
 type entry[K comparable, V any] struct {
 	key  K
-	val  atomic.Pointer[V] // nil = logically deleted
-	next atomic.Uint64     // 1-based ref of next chain entry; 0 = end
+	val  atomic.Pointer[V] // nil = dead
+	next atomic.Uint64     // reference of the next chain entry; 0 = tail; sealed
 }
 
-type entryArena[K comparable, V any] struct {
-	mu    sync.Mutex // page extension only
-	n     atomic.Uint64
-	pages atomic.Pointer[[]*[entryPageSize]entry[K, V]]
-}
-
-// alloc publishes a new entry holding ⟨k, vp⟩ and returns its 1-based
-// reference. Indices are reserved with an atomic bump (the lock is taken
-// only to extend the page directory), so concurrent inserters of
-// distinct keys do not serialize. The caller must link the reference
-// into the word table or a chain (or abandon it by nilling val) for it
-// to become/stay meaningful.
-func (a *entryArena[K, V]) alloc(k K, vp *V) uint64 {
-	idx := a.n.Add(1) - 1
-	page := idx / entryPageSize
-	for {
-		var pages []*[entryPageSize]entry[K, V]
-		if p := a.pages.Load(); p != nil {
-			pages = *p
-		}
-		if page < uint64(len(pages)) {
-			e := &pages[page][idx%entryPageSize]
-			e.key = k
-			e.val.Store(vp)
-			return idx + 1
-		}
-		a.extend(page)
-	}
-}
-
-// extend grows the page directory to cover page (copy-on-write).
-func (a *entryArena[K, V]) extend(page uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var cur []*[entryPageSize]entry[K, V]
-	if p := a.pages.Load(); p != nil {
-		cur = *p
-	}
-	if page < uint64(len(cur)) {
-		return
-	}
-	next := make([]*[entryPageSize]entry[K, V], page+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		next[i] = new([entryPageSize]entry[K, V])
-	}
-	a.pages.Store(&next)
-}
-
-func (a *entryArena[K, V]) get(ref uint64) *entry[K, V] {
-	idx := ref - 1
-	pages := *a.pages.Load()
-	return &pages[idx/entryPageSize][idx%entryPageSize]
-}
+// The generic route's reclamation series, touched only when a chain is
+// dropped or a page is built or retired — never per Load or Store. A map
+// collected wholesale is not subtracted from pages_live.
+var (
+	obsChainsDropped = obs.Default.Counter("growt_generic_chains_dropped_total")
+	obsPagesRetired  = obs.Default.Counter("growt_generic_pages_retired_total")
+	obsPagesLive     = obs.Default.Gauge("growt_generic_pages_live")
+)
 
 type genericBackend[K comparable, V any] struct {
 	fk   *core.FullKeys
 	hash func(K) uint64
-	ar   entryArena[K, V]
+	ar   *arena[entry[K, V]]
 	size atomic.Int64
 	gen  uint64 // process-unique id tagging resumable cursors
 }
@@ -698,7 +687,7 @@ type genericBackend[K comparable, V any] struct {
 var genericGen atomic.Uint64
 
 func newGenericBackend[K comparable, V any](c *config) *genericBackend[K, V] {
-	return &genericBackend[K, V]{fk: newWordCore(c), hash: hasherFor[K](c), gen: genericGen.Add(1)}
+	return &genericBackend[K, V]{fk: newWordCore(c), hash: hasherFor[K](c), ar: newArena[entry[K, V]](), gen: genericGen.Add(1)}
 }
 
 func (b *genericBackend[K, V]) newHandle() backendHandle[K, V] {
@@ -719,34 +708,30 @@ func (b *genericBackend[K, V]) close() { b.fk.Close() }
 
 func (b *genericBackend[K, V]) rangeAll(fn func(K, V) bool) { b.rangeFrom(tables.Cursor{}, fn) }
 
-// rangeFrom walks the arena from cur: every live (non-abandoned,
-// non-deleted) entry is exactly one element. Reserved-but-unwritten
-// indices (a writer between bump and page extension) are clamped away.
-// The arena is append-only, so the cursor is a plain entry index;
-// entries appended after the cursor was taken are picked up by the next
-// wrapped walk. Quiescent use only.
+// rangeFrom walks the arena from cur: every live entry is exactly one
+// element (an entry is live only while linked, but for the instant its
+// upsert takes to link it or give it back). Entry indices never change
+// meaning, so the cursor is a plain index; pages retired, or reserved
+// and not built yet, are stepped over whole; entries appended behind the
+// cursor are picked up by the next wrapped walk. Quiescent use only.
 func (b *genericBackend[K, V]) rangeFrom(cur tables.Cursor, fn func(K, V) bool) (tables.Cursor, bool) {
-	pos := uint64(0)
-	if cur.Gen == b.gen {
-		pos = cur.Pos
+	idx := b.ar.floor()
+	if cur.Gen == b.gen && cur.Pos > idx {
+		idx = cur.Pos
 	}
-	n := b.ar.n.Load()
-	var pages []*[entryPageSize]entry[K, V]
-	if p := b.ar.pages.Load(); p != nil {
-		pages = *p
-	}
-	if avail := uint64(len(pages)) * entryPageSize; n > avail {
-		n = avail
-	}
-	for idx := pos; idx < n; idx++ {
-		e := &pages[idx/entryPageSize][idx%entryPageSize]
-		if p := e.val.Load(); p != nil {
-			if !fn(e.key, *p) {
-				if idx+1 >= n {
-					return tables.Cursor{Gen: b.gen}, true
-				}
-				return tables.Cursor{Gen: b.gen, Pos: idx + 1}, false
+	for n := b.ar.n.Load(); idx < n; {
+		p := b.ar.page(idx / arenaPageSize)
+		if p == nil {
+			idx = (idx/arenaPageSize + 1) * arenaPageSize
+			continue
+		}
+		e := &p.slots[idx%arenaPageSize]
+		idx++
+		if vp := e.val.Load(); vp != nil && !fn(e.key, *vp) {
+			if idx >= n {
+				break
 			}
+			return tables.Cursor{Gen: b.gen, Pos: idx}, false
 		}
 	}
 	return tables.Cursor{Gen: b.gen}, true
@@ -758,74 +743,85 @@ func (b *genericBackend[K, V]) entryBytes() uint64 {
 	return 16 + uint64(unsafe.Sizeof(e))
 }
 
+// newEntry builds a live, not yet linked entry for ⟨k,v⟩.
+func (b *genericBackend[K, V]) newEntry(k K, v V) uint64 {
+	ref, e := b.ar.alloc()
+	if (ref-1)%arenaPageSize == 0 {
+		obsPagesLive.Add(1)
+	}
+	e.key = k
+	e.val.Store(&v)
+	return ref
+}
+
+// giveBack returns an entry no cell leads to any more (invariant 3).
+func (b *genericBackend[K, V]) giveBack(ref uint64) {
+	if b.ar.release(ref) {
+		obsPagesRetired.Add(1)
+		obsPagesLive.Add(-1)
+	}
+}
+
 type genericHandle[K comparable, V any] struct {
 	b *genericBackend[K, V]
 	h tables.Handle
 }
 
-// findEntry walks the collision chain for k; nil if no entry carries k.
-func (h *genericHandle[K, V]) findEntry(k K) *entry[K, V] {
-	head, ok := h.h.Find(h.b.hash(k))
+// findEntry walks the collision chain of k's hash for a live entry
+// carrying k; nil if there is none. head is the chain it walked, for the
+// caller that goes on to kill the entry (see reap).
+//
+//growt:hotpath
+func (h *genericHandle[K, V]) findEntry(hash uint64, k K) (e *entry[K, V], head uint64) {
+	head, ok := h.h.Find(hash)
 	if !ok {
-		return nil
+		return nil, 0
 	}
-	e := h.b.ar.get(head)
-	for {
-		if e.key == k {
-			return e
+	for ref := head; ref != 0 && ref != sealed; ref = e.next.Load() {
+		if e = h.b.ar.get(ref); e == nil {
+			break // the chain was dropped under us
 		}
-		nx := e.next.Load()
-		if nx == 0 {
-			return nil
+		if e.key == k && e.val.Load() != nil {
+			return e, head
 		}
-		e = h.b.ar.get(nx)
 	}
+	return nil, head
 }
 
 // upsert is the shared insert / insert-or-update machinery. With up==nil
 // a present key refuses (insert semantics); otherwise it is atomically
-// updated. Returns true iff an insert (or tombstone revival) happened.
+// updated. Returns true iff an insert happened. An insert linearizes
+// where it links its entry — into the core for a new chain, behind the
+// tail of an old one: a chain that takes a link is not sealed, so it is
+// the one its cell leads to, and every entry of k before the tail had
+// been seen dead.
 func (h *genericHandle[K, V]) upsert(k K, d V, up func(cur, d V) V) bool {
-	hash := h.b.hash(k)
-	dp := &d
-	ref := uint64(0) // lazily allocated new entry; 0 = none yet
-	published := false
-	defer func() {
-		// An allocated entry that lost every race must not stay visible
-		// to Range: nil its value to abandon it (the slot itself leaks,
-		// like all arena space, until the map is collected).
-		if ref != 0 && !published {
-			h.b.ar.get(ref).val.Store(nil)
-		}
-	}()
-	ensure := func() uint64 {
-		if ref == 0 {
-			ref = h.b.ar.alloc(k, dp)
-		}
-		return ref
-	}
+	b, hash := h.b, h.b.hash(k)
+	ref := uint64(0) // entry built for ⟨k,d⟩, until linked or given back
+retry:
 	for {
 		head, ok := h.h.Find(hash)
 		if !ok {
-			if h.h.Insert(hash, ensure()) {
-				published = true
-				h.b.size.Add(1)
+			if ref == 0 {
+				ref = b.newEntry(k, d)
+			}
+			if h.h.Insert(hash, ref) {
+				b.size.Add(1)
 				return true
 			}
-			continue // lost the word-cell race; re-find the winner's chain
+			continue // lost the cell; walk the winner's chain
 		}
-		e := h.b.ar.get(head)
-		for {
+		for at := head; ; {
+			e := b.ar.get(at)
+			if e == nil {
+				continue retry // the chain was dropped under us
+			}
 			if e.key == k {
-				for {
-					p := e.val.Load()
-					if p == nil {
-						// Deleted entry: revive it with d.
-						if e.val.CompareAndSwap(nil, dp) {
-							h.b.size.Add(1)
-							return true
-						}
-						continue
+				for p := e.val.Load(); p != nil; p = e.val.Load() {
+					if ref != 0 { // lost to another inserter of k; up may panic
+						b.ar.get(ref).val.Store(nil)
+						b.giveBack(ref)
+						ref = 0
 					}
 					if up == nil {
 						return false
@@ -836,17 +832,66 @@ func (h *genericHandle[K, V]) upsert(k K, d V, up func(cur, d V) V) bool {
 					}
 				}
 			}
-			nx := e.next.Load()
-			if nx == 0 {
-				if e.next.CompareAndSwap(0, ensure()) {
-					published = true
-					h.b.size.Add(1)
+			switch nx := e.next.Load(); nx {
+			case 0:
+				if ref == 0 {
+					ref = b.newEntry(k, d)
+				}
+				if e.next.CompareAndSwap(0, ref) {
+					b.size.Add(1)
 					return true
 				}
-				nx = e.next.Load()
+				// Lost the tail: look at what took it.
+			case sealed:
+				h.drop(hash, head)
+				continue retry
+			default:
+				at = nx
 			}
-			e = h.b.ar.get(nx)
 		}
+	}
+}
+
+// reap is called by whoever killed an entry of the chain at head: if the
+// chain has died out it seals it and drops its cell. The last killer of a
+// chain finds it all dead (dead is permanent), so a chain that dies is
+// dropped unless an insert extends it first — whose killer comes by here.
+func (h *genericHandle[K, V]) reap(hash, head uint64) {
+	for at := head; ; {
+		e := h.b.ar.get(at)
+		if e == nil || e.val.Load() != nil {
+			return // already dropped, or still in use
+		}
+		switch nx := e.next.Load(); nx {
+		case 0:
+			if !e.next.CompareAndSwap(0, sealed) {
+				continue // extended or sealed meanwhile: read the link again
+			}
+			fallthrough
+		case sealed:
+			h.drop(hash, head)
+			return
+		default:
+			at = nx
+		}
+	}
+}
+
+// drop removes the cell of the sealed chain at head from the core (the
+// full-key wrapper's handle is a CompareAndDeleter over every core).
+// References are never handed out twice, so at most one caller wins the
+// conditional delete for a given head; the winner gives the chain's
+// entries back. The chain is immutable and none of its pages can retire
+// before this walk has counted it, so the walk needs no nil check.
+func (h *genericHandle[K, V]) drop(hash, head uint64) {
+	if !h.h.(tables.CompareAndDeleter).CompareAndDelete(hash, head) {
+		return
+	}
+	obsChainsDropped.Add(1)
+	for at := head; at != sealed; {
+		nx := h.b.ar.get(at).next.Load()
+		h.b.giveBack(at)
+		at = nx
 	}
 }
 
@@ -857,7 +902,7 @@ func (h *genericHandle[K, V]) insertOrUpdate(k K, d V, up func(cur, d V) V) bool
 }
 
 func (h *genericHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
-	e := h.findEntry(k)
+	e, _ := h.findEntry(h.b.hash(k), k)
 	if e == nil {
 		return false
 	}
@@ -873,14 +918,14 @@ func (h *genericHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
 	}
 }
 
-func (h *genericHandle[K, V]) find(k K) (V, bool) {
-	if e := h.findEntry(k); e != nil {
+//growt:hotpath
+func (h *genericHandle[K, V]) find(k K) (v V, ok bool) {
+	if e, _ := h.findEntry(h.b.hash(k), k); e != nil {
 		if p := e.val.Load(); p != nil {
 			return *p, true
 		}
 	}
-	var zv V
-	return zv, false
+	return
 }
 
 func (h *genericHandle[K, V]) del(k K) bool {
@@ -891,7 +936,7 @@ func (h *genericHandle[K, V]) del(k K) bool {
 // compareAndSwap CASes the entry's value pointer directly: a refused
 // call performs no write and allocates nothing.
 func (h *genericHandle[K, V]) compareAndSwap(k K, old, new V) bool {
-	e := h.findEntry(k)
+	e, _ := h.findEntry(h.b.hash(k), k)
 	if e == nil {
 		return false
 	}
@@ -907,40 +952,27 @@ func (h *genericHandle[K, V]) compareAndSwap(k K, old, new V) bool {
 	}
 }
 
-// compareAndDelete CASes the entry's value pointer to nil iff the
-// current value compares equal: verdict and removal are one CAS.
-func (h *genericHandle[K, V]) compareAndDelete(k K, old V) bool {
-	e := h.findEntry(k)
-	if e == nil {
-		return false
-	}
-	for {
-		p := e.val.Load()
-		if p == nil || any(*p) != any(old) {
-			return false
-		}
-		if e.val.CompareAndSwap(p, nil) {
-			h.b.size.Add(-1)
-			return true
+// kill is the one delete of the generic route: it CASes the value of k's
+// live entry to nil — verdict and removal are that one CAS — provided
+// match accepts the value (nil accepts all), then lets the chain go if
+// that was its last live entry.
+func (h *genericHandle[K, V]) kill(k K, match func(V) bool) (v V, ok bool) {
+	hash := h.b.hash(k)
+	if e, head := h.findEntry(hash, k); e != nil {
+		for p := e.val.Load(); p != nil && (match == nil || match(*p)); p = e.val.Load() {
+			if e.val.CompareAndSwap(p, nil) {
+				h.b.size.Add(-1)
+				h.reap(hash, head)
+				return *p, true
+			}
 		}
 	}
+	return
 }
 
-func (h *genericHandle[K, V]) loadAndDelete(k K) (V, bool) {
-	e := h.findEntry(k)
-	if e == nil {
-		var zv V
-		return zv, false
-	}
-	for {
-		p := e.val.Load()
-		if p == nil {
-			var zv V
-			return zv, false
-		}
-		if e.val.CompareAndSwap(p, nil) {
-			h.b.size.Add(-1)
-			return *p, true
-		}
-	}
+func (h *genericHandle[K, V]) compareAndDelete(k K, old V) bool {
+	_, ok := h.kill(k, func(v V) bool { return any(v) == any(old) })
+	return ok
 }
+
+func (h *genericHandle[K, V]) loadAndDelete(k K) (V, bool) { return h.kill(k, nil) }
