@@ -12,10 +12,16 @@ package growt_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	growt "repro"
 	"repro/internal/bench"
 	"repro/internal/bench/report"
+	"repro/internal/rng"
+	"repro/internal/zipfgen"
 
 	_ "repro/internal/baselines"
 	_ "repro/internal/core"
@@ -132,4 +138,93 @@ func BenchmarkFig11aManyThreads(b *testing.B) {
 
 func BenchmarkFig11bManyThreads(b *testing.B) {
 	runScenario(b, bench.Fig11bManyThreads, "folklore", "uaGrow", "syncmap")
+}
+
+// The three benchmarks below price the handle-free Map's hop: one
+// generic-route map and one key stream, driven through Map.Load / Map.Store
+// (an acquire and a release per op) and through a pinned Session (neither).
+//
+//	go test -run '^$' -bench 'MapLoadParallel|MapStoreParallel|SessionLoad' -cpu 2
+//
+// "hot" is a single key, "zipf1M" a Zipf(0.99) stream over 2^20 keys.
+
+type facadeWorkload struct {
+	m       *growt.Map[string, uint64]
+	keys    []string
+	streams [][]uint32 // one precomputed key-index stream per P
+}
+
+var facadeWorkloads = map[string]func() *facadeWorkload{
+	"hot":    sync.OnceValue(func() *facadeWorkload { return newFacadeWorkload(1) }),
+	"zipf1M": sync.OnceValue(func() *facadeWorkload { return newFacadeWorkload(1 << 20) }),
+}
+
+func newFacadeWorkload(n int) *facadeWorkload {
+	w := &facadeWorkload{m: growt.New[string, uint64](growt.WithCapacity(2 * uint64(n))), keys: make([]string, n)}
+	for i := range w.keys {
+		w.keys[i] = fmt.Sprintf("key-%07d", i)
+		w.m.Store(w.keys[i], uint64(i))
+	}
+	// Make a handle per P now. One made in the measured loop lies beside
+	// the testing.PB of the goroutine that made it, which every pb.Next
+	// writes: once that handle is in another P's hands, each Load reads a
+	// line the first P keeps dirtying (the hot row then read double in
+	// three runs out of four).
+	warm := make([]*growt.Session[string, uint64], runtime.GOMAXPROCS(0))
+	for i := range warm {
+		warm[i] = w.m.Session()
+	}
+	for _, s := range warm {
+		s.Close()
+	}
+	for g := 0; g < runtime.GOMAXPROCS(0); g++ {
+		z := zipfgen.New(uint64(n), 0.99, rng.NewSplitMix64(uint64(g)+1))
+		st := make([]uint32, 1<<16)
+		for i := range st {
+			st[i] = uint32(z.Next() - 1)
+		}
+		w.streams = append(w.streams, st)
+	}
+	return w
+}
+
+// benchFacade runs bind's op from every P over that P's key stream; bind
+// is called once per goroutine and returns the op and its clean-up.
+func benchFacade(b *testing.B, bind func(m *growt.Map[string, uint64]) (op func(k string) uint64, done func())) {
+	for _, name := range []string{"hot", "zipf1M"} {
+		b.Run(name, func(b *testing.B) {
+			w := facadeWorkloads[name]()
+			var g, sum atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				op, done := bind(w.m)
+				defer done()
+				st := w.streams[int(g.Add(1))%len(w.streams)]
+				var n uint64
+				for i := 0; pb.Next(); i++ {
+					n += op(w.keys[st[i%len(st)]])
+				}
+				sum.Add(n)
+			})
+		})
+	}
+}
+
+func BenchmarkMapLoadParallel(b *testing.B) {
+	benchFacade(b, func(m *growt.Map[string, uint64]) (func(string) uint64, func()) {
+		return func(k string) uint64 { v, _ := m.Load(k); return v }, func() {}
+	})
+}
+
+func BenchmarkMapStoreParallel(b *testing.B) {
+	benchFacade(b, func(m *growt.Map[string, uint64]) (func(string) uint64, func()) {
+		return func(k string) uint64 { m.Store(k, 1); return 0 }, func() {}
+	})
+}
+
+func BenchmarkSessionLoad(b *testing.B) {
+	benchFacade(b, func(m *growt.Map[string, uint64]) (func(string) uint64, func()) {
+		s := m.Session()
+		return func(k string) uint64 { v, _ := s.Load(k); return v }, s.Close
+	})
 }

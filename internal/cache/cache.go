@@ -29,9 +29,9 @@
 // Cache's own methods are handle-free: each op borrows a pooled map
 // handle for its duration. A Session (NewSession/Close) pins one pooled
 // handle for its lifetime and mirrors every Cache operation on it — the
-// right shape for a connection or worker loop, where the per-op
-// free-list hop is pure overhead. Sessions are not for concurrent use;
-// the Cache itself is.
+// right shape for a connection or worker loop, which then pays the
+// map's acquire and release once instead of per op. Sessions are not
+// for concurrent use; the Cache itself is.
 //
 // The cache shares the root package's functional-option vocabulary:
 // WithTTL, WithMaxEntries, WithMaxBytes, and WithSweepInterval
@@ -706,7 +706,7 @@ func (c *Cache[K, V]) sweepOnce(v view[K, V], budget int) int {
 
 // Session is a pinned-handle view of a Cache: it borrows one pooled map
 // handle at creation and reuses it for every operation until Close,
-// mirroring the whole Cache surface without the per-op free-list hop.
+// mirroring the whole Cache surface without a per-op acquire and release.
 // Like the map sessions it wraps, a Session must not be used
 // concurrently — create one per connection or worker loop and Close it
 // when done. Operations on a closed Session panic.
@@ -725,7 +725,7 @@ func (c *Cache[K, V]) NewSession() *Session[K, V] {
 	return &Session[K, V]{c: c, v: c.m.Session()}
 }
 
-// Close releases the pinned handle back to the map's free list. Close
+// Close gives the pinned handle back to the map's idle handles. Close
 // is idempotent; the Session is unusable afterwards.
 func (s *Session[K, V]) Close() { s.v.Close() }
 

@@ -132,7 +132,7 @@ func newMetrics(reg *obs.Registry) metrics {
 // connection gets a session: the reader goroutine parses and executes
 // the pipeline in order against the shared cache (which pools its own
 // map handles — core handles register never-deregistered per-handle
-// state, so the bounded pool lives where the handles do), the writer
+// state, so they are recycled there, one per open connection), the writer
 // goroutine drains the response queue into a buffered writer and
 // flushes only when the queue runs empty — so a deep pipeline pays one
 // syscall per batch, not per response.
@@ -343,8 +343,8 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan []byte, done chan<- struct{
 // the out channel and always closes it on exit. The cache session is
 // per-connection: one pooled map handle is pinned here for the
 // connection's whole life, so the ops executed below never touch the
-// handle pool — the pre-session design paid an acquire/release channel
-// hop on every single operation.
+// handle pool. The pool makes a handle for every connection that is
+// open at once; it has no cap for a connection to wait at.
 func (s *Server) readLoop(conn net.Conn, out chan<- []byte, done <-chan struct{}) {
 	defer close(out)
 	cs := s.st.C.NewSession()

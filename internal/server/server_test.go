@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -533,5 +534,24 @@ func TestShutdownForceClosesIdleSessions(t *testing.T) {
 	idle.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := idle.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("idle conn read = %v, want EOF", err)
+	}
+}
+
+// TestManyConnections: every connection pins a map handle for life, so the
+// handles must be as many as the connections. Past 8×GOMAXPROCS of them a
+// connection used to be accepted and never answered.
+func TestManyConnections(t *testing.T) {
+	_, addr := startServer(t, server.Options{})
+	n := 8*runtime.GOMAXPROCS(0) + 4
+	conns := make([]*rawConn, n)
+	for i := range conns {
+		conns[i] = dialRaw(t, addr)
+	}
+	for i, c := range conns {
+		c.send(frame(uint64(i+1), server.OpPing))
+		id, status, _, err := c.read()
+		if err != nil || id != uint64(i+1) || status != server.StatusOK {
+			t.Fatalf("connection %d of %d, all open: PING answered id=%d status=%d err=%v", i+1, n, id, status, err)
+		}
 	}
 }

@@ -11,8 +11,34 @@ import (
 	"repro/internal/linearize"
 )
 
+// facadeOps is what a worker of facadeLinearizable drives: *growt.Handle
+// as it is, and the handle-free Map through mapOps.
+type facadeOps[K comparable] interface {
+	Insert(k K, v uint64) bool
+	Update(k K, d uint64, up func(cur, d uint64) uint64) bool
+	InsertOrUpdate(k K, d uint64, up func(cur, d uint64) uint64) bool
+	Find(k K) (uint64, bool)
+	Delete(k K) bool
+	LoadAndDelete(k K) (uint64, bool)
+	CompareAndDelete(k K, old uint64) bool
+}
+
+// mapOps spells the handle's primitives with the handle-free methods, so
+// that every operation of its worker borrows and gives back a handle.
+type mapOps[K comparable] struct{ *growt.Map[K, uint64] }
+
+func (m mapOps[K]) Insert(k K, v uint64) bool {
+	_, loaded := m.LoadOrStore(k, v)
+	return !loaded
+}
+func (m mapOps[K]) InsertOrUpdate(k K, d uint64, up func(cur, d uint64) uint64) bool {
+	return m.Compute(k, d, up)
+}
+func (m mapOps[K]) Find(k K) (uint64, bool) { return m.Load(k) }
+
 // facadeLinearizable records histories on a small set of contended keys
-// through per-goroutine growt.Map handles and validates them with the
+// through growt.Map — odd workers through a handle of their own, even ones
+// through the handle-free methods — and validates them with the
 // Wing–Gong checker that internal/core applies to the raw word tables. m
 // must start tiny: every worker also inserts a stream of never-repeated
 // filler keys, so the core migrates many times while the contended keys
@@ -48,7 +74,10 @@ func facadeLinearizable[K comparable](t *testing.T, m *growt.Map[K, uint64], key
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := m.Handle()
+			var h facadeOps[K] = m.Handle()
+			if w%2 == 0 {
+				h = mapOps[K]{m}
+			}
 			r := hist.Recorder()
 			rnd := rand.New(rand.NewSource(int64(w*7919 + 13)))
 			filler := uint64(w+1) << 32

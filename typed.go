@@ -3,11 +3,13 @@ package growt
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/pad"
 	"repro/internal/tables"
 )
 
@@ -37,22 +39,36 @@ import (
 // call Handle once per goroutine and use the handle's methods — fastest,
 // no synchronization beyond the table's own. And a handle-free,
 // sync.Map-shaped one: Load / Store / LoadOrStore / Compute / Delete on
-// the Map itself, which borrow a handle from an internal free list per
-// call. The free list is a fixed-capacity channel rather than a
-// sync.Pool: core handles register per-handle state with the table
-// (busy flags, size counters) that is never deregistered, so handles
-// must be recycled, not GC-churned.
+// the Map itself, which borrow an idle handle per call. Idle handles sit
+// in slots, a cache line each, strongly referenced: core handles register
+// state with the table (busy flags, size counters) that is never
+// deregistered, so they are recycled, not GC-churned. The sync.Pool holds
+// only hints (the slot a P last released into): one lost at a GC costs a
+// scan of the slots, not a handle. A borrow writes no shared word but its
+// slot's line (§5.1) and waits for nobody.
 type Map[K comparable, V any] struct {
 	b       backend[K, V]
-	handles chan *Handle[K, V] // free list for the handle-free methods
-	created atomic.Int64       // free-list handles made; capped at cap(handles)
-	borrows atomic.Uint64      // free-list borrows, for pool-discipline tests
+	replace func(cur, d V) V   // Replace[V], bound once: binding it in Store allocates
+	slots   []handleSlot[K, V] // two a P: a fresh hint seldom names one in use
+	hints   sync.Pool          // of *handleSlot[K, V], pointing into slots
+	next    atomic.Uint32      // round-robin over slots for a fresh hint
+	mu      sync.Mutex
+	spare   *Handle[K, V] // idle handles that found their slot taken, linked by next; guarded by mu
+}
+
+// handleSlot: one idle handle at most, and the borrows made through it.
+type handleSlot[K comparable, V any] struct {
+	h       atomic.Pointer[Handle[K, V]]
+	borrows atomic.Uint64
+	_       [pad.CacheLineSize - 16]byte
 }
 
 // Handle is a goroutine-private accessor to a typed map (§5.1). Create
 // one per goroutine with Map.Handle; never share one between goroutines.
 type Handle[K comparable, V any] struct {
-	h backendHandle[K, V]
+	h    backendHandle[K, V]
+	slot *handleSlot[K, V] // of a pooled handle: the slot it is in, or goes back to
+	next *Handle[K, V]     // on the spare list
 }
 
 // backend is the per-key-route engine behind a typed map.
@@ -108,10 +124,7 @@ func New[K comparable, V any](opts ...Option) *Map[K, V] {
 	} else {
 		b = newGenericBackend[K, V](&c)
 	}
-	return &Map[K, V]{
-		b:       b,
-		handles: make(chan *Handle[K, V], 8*runtime.GOMAXPROCS(0)),
-	}
+	return &Map[K, V]{b: b, replace: Replace[V], slots: make([]handleSlot[K, V], 2*runtime.GOMAXPROCS(0))}
 }
 
 // Handle returns a new goroutine-private accessor (§5.1).
@@ -161,7 +174,12 @@ func (m *Map[K, V]) EntryBytes() uint64 { return m.b.entryBytes() }
 // pooled handle over the map's lifetime. It exists for tests asserting
 // pool discipline (a pinned Session performs exactly one borrow, not
 // one per operation).
-func (m *Map[K, V]) PoolBorrows() uint64 { return m.borrows.Load() }
+func (m *Map[K, V]) PoolBorrows() (n uint64) {
+	for i := range m.slots {
+		n += m.slots[i].borrows.Load()
+	}
+	return n
+}
 
 // Insert stores ⟨k,v⟩ if k is absent. Returns true iff this call
 // inserted the element; exactly one of several concurrent inserters of
@@ -220,11 +238,9 @@ func (h *Handle[K, V]) CompareAndDelete(k K, old V) bool {
 	return h.h.compareAndDelete(k, old)
 }
 
-// acquire borrows a free-listed handle for one handle-free operation.
-// At most cap(m.handles) handles are ever created for the free list —
-// beyond that, acquire blocks until one is released. The hard cap
-// matters because core handles register per-handle state with the table
-// (busy flags, size counters) that has no deregistration path.
+// acquire borrows an idle handle for one handle-free operation or for a
+// Session's lifetime: the one in the slot its hint names, else any idle
+// one, else a new one — it never waits for a release.
 //
 // Callers must pair the acquire with an immediately deferred release so
 // user code running under the handle (hashers, update closures) cannot
@@ -232,52 +248,74 @@ func (h *Handle[K, V]) CompareAndDelete(k K, old V) bool {
 // shape.
 //
 //growt:acquires release
+//growt:hotpath
 func (m *Map[K, V]) acquire() *Handle[K, V] {
-	m.borrows.Add(1)
-	select {
-	case h := <-m.handles:
+	s, _ := m.hints.Get().(*handleSlot[K, V])
+	if s == nil {
+		s = &m.slots[m.next.Add(1)%uint32(len(m.slots))]
+	}
+	s.borrows.Add(1)
+	h := s.h.Swap(nil)
+	if h == nil {
+		h = m.idleOrNew()
+		h.slot = s
+	}
+	return h
+}
+
+// idleOrNew is acquire's slow path, one goroutine at a time: the slot was
+// empty (first use, hint lost at a GC, handle out with a Session). It
+// tries every slot twice: a holder whose hint changes between operations
+// moves its handle from a slot not yet tried to one found empty.
+func (m *Map[K, V]) idleOrNew() *Handle[K, V] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if h := m.spare; h != nil {
+		m.spare, h.next = h.next, nil
 		return h
-	default:
 	}
-	if m.created.Add(1) <= int64(cap(m.handles)) {
-		return m.Handle()
+	for i := 0; i < 2*len(m.slots); i++ {
+		if h := m.slots[i%len(m.slots)].h.Swap(nil); h != nil {
+			return h
+		}
 	}
-	m.created.Add(-1)
-	return <-m.handles
+	return m.Handle()
 }
 
-// release returns a handle to the free list. The send cannot block:
-// handles in circulation never exceed the channel capacity.
+// release puts a borrowed handle back in the slot it was acquired
+// through and hands the hint to the P's next acquire.
+//
+//growt:hotpath
 func (m *Map[K, V]) release(h *Handle[K, V]) {
-	m.handles <- h
-}
-
-// withHandle runs fn under a borrowed free-list handle. It is the one
-// place that owns pool discipline for the handle-free methods: the
-// release is deferred, so a panic in user code running under the handle
-// (custom hashers, update closures) cannot strand it.
-func withHandle[K comparable, V any](m *Map[K, V], fn func(h *Handle[K, V])) {
-	h := m.acquire()
-	defer m.release(h)
-	fn(h)
+	if s := h.slot; s.h.CompareAndSwap(nil, h) {
+		m.hints.Put(s)
+		return
+	}
+	m.mu.Lock() // the slot is taken, so two hints name it: this one is dropped
+	h.next, m.spare = m.spare, h
+	m.mu.Unlock()
 }
 
 // Load returns the value stored at k (handle-free).
-func (m *Map[K, V]) Load(k K) (v V, ok bool) {
-	withHandle(m, func(h *Handle[K, V]) { v, ok = h.Find(k) })
-	return
+func (m *Map[K, V]) Load(k K) (V, bool) {
+	h := m.acquire()
+	defer m.release(h)
+	return h.h.find(k)
 }
 
 // Store sets the value for k, inserting or overwriting (handle-free).
 func (m *Map[K, V]) Store(k K, v V) {
-	withHandle(m, func(h *Handle[K, V]) { h.InsertOrUpdate(k, v, Replace[V]) })
+	h := m.acquire()
+	defer m.release(h)
+	h.h.insertOrUpdate(k, v, m.replace)
 }
 
 // LoadOrStore returns the existing value for k if present; otherwise it
 // stores and returns v. loaded is true if the value was already present.
 func (m *Map[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
-	withHandle(m, func(h *Handle[K, V]) { actual, loaded = loadOrStore(h, k, v) })
-	return
+	h := m.acquire()
+	defer m.release(h)
+	return loadOrStore(h, k, v)
 }
 
 // loadOrStore is the find-or-insert loop shared by Map and Session.
@@ -296,54 +334,60 @@ func loadOrStore[K comparable, V any](h *Handle[K, V], k K, v V) (V, bool) {
 // with up(current, d); true iff an insert happened (handle-free
 // InsertOrUpdate).
 func (m *Map[K, V]) Compute(k K, d V, up func(cur, d V) V) (inserted bool) {
-	withHandle(m, func(h *Handle[K, V]) { inserted = h.InsertOrUpdate(k, d, up) })
-	return
+	h := m.acquire()
+	defer m.release(h)
+	return h.h.insertOrUpdate(k, d, up)
 }
 
 // Delete removes k (handle-free); true iff k was present.
 func (m *Map[K, V]) Delete(k K) (deleted bool) {
-	withHandle(m, func(h *Handle[K, V]) { deleted = h.Delete(k) })
-	return
+	h := m.acquire()
+	defer m.release(h)
+	return h.h.del(k)
 }
 
 // LoadAndDelete removes k and returns the value it held (handle-free;
 // sync.Map parity). loaded is false when k was absent.
 func (m *Map[K, V]) LoadAndDelete(k K) (value V, loaded bool) {
-	withHandle(m, func(h *Handle[K, V]) { value, loaded = h.LoadAndDelete(k) })
-	return
+	h := m.acquire()
+	defer m.release(h)
+	return h.h.loadAndDelete(k)
 }
 
 // CompareAndSwap replaces the value of k with new iff it is currently
 // old (handle-free; sync.Map parity). Old values are compared with ==
 // and must be of a comparable dynamic type, or CompareAndSwap panics.
 func (m *Map[K, V]) CompareAndSwap(k K, old, new V) (swapped bool) {
-	withHandle(m, func(h *Handle[K, V]) { swapped = h.CompareAndSwap(k, old, new) })
-	return
+	h := m.acquire()
+	defer m.release(h)
+	return h.CompareAndSwap(k, old, new)
 }
 
 // CompareAndDelete removes k iff its value is currently old (handle-free;
 // sync.Map parity). Old values are compared with == and must be of a
 // comparable dynamic type, or CompareAndDelete panics.
 func (m *Map[K, V]) CompareAndDelete(k K, old V) (deleted bool) {
-	withHandle(m, func(h *Handle[K, V]) { deleted = h.CompareAndDelete(k, old) })
-	return
+	h := m.acquire()
+	defer m.release(h)
+	return h.CompareAndDelete(k, old)
 }
 
 // Update atomically changes the value of k to up(current, d); returns
 // false if k is absent (handle-free Update — unlike Compute it never
 // inserts).
 func (m *Map[K, V]) Update(k K, d V, up func(cur, d V) V) (updated bool) {
-	withHandle(m, func(h *Handle[K, V]) { updated = h.Update(k, d, up) })
-	return
+	h := m.acquire()
+	defer m.release(h)
+	return h.h.update(k, d, up)
 }
 
 // Session is a pinned-handle view of a Map: it borrows one pooled
 // handle at creation and reuses it for every operation until Close,
-// eliminating the per-op free-list hop of the handle-free methods.
+// sparing each operation the handle-free methods' acquire and release.
 // Like a Handle, a Session must not be used concurrently — create one
 // per goroutine (typically one per connection or worker loop) and
-// Close it when done, or the pooled handle stays out of circulation.
-// Operations on a closed Session panic.
+// Close it when done, or the map makes a handle in its place and keeps
+// both for good. Operations on a closed Session panic.
 type Session[K comparable, V any] struct {
 	m *Map[K, V]
 	h *Handle[K, V]
@@ -359,8 +403,8 @@ func (m *Map[K, V]) Session() *Session[K, V] {
 	return &Session[K, V]{m: m, h: m.acquire()}
 }
 
-// Close returns the pinned handle to the free list. Close is
-// idempotent; the Session is unusable afterwards.
+// Close gives the pinned handle back to the map's idle handles. Close
+// is idempotent; the Session is unusable afterwards.
 func (s *Session[K, V]) Close() {
 	if s.h != nil {
 		s.m.release(s.h)
@@ -381,7 +425,7 @@ func (s *Session[K, V]) Load(k K) (V, bool) { return s.handle().Find(k) }
 
 // Store sets the value for k, inserting or overwriting (see Map.Store).
 func (s *Session[K, V]) Store(k K, v V) {
-	s.handle().InsertOrUpdate(k, v, Replace[V])
+	s.handle().InsertOrUpdate(k, v, s.m.replace)
 }
 
 // LoadOrStore returns the existing value for k if present; otherwise it
@@ -482,7 +526,9 @@ func newWordBackend[K comparable, V any](c *config, kenc func(K) uint64, kdec fu
 }
 
 func (b *wordBackend[K, V]) newHandle() backendHandle[K, V] {
-	return &wordHandle[K, V]{b: b, h: b.fk.Handle()}
+	h := &wordHandle[K, V]{b: b, h: b.fk.Handle()}
+	h.wrapped = h.applyUp
+	return h
 }
 func (b *wordBackend[K, V]) approxSize() uint64 { return b.fk.ApproxSize() }
 func (b *wordBackend[K, V]) generation() uint64 { return b.fk.Generation() }
@@ -500,6 +546,23 @@ func (b *wordBackend[K, V]) entryBytes() uint64 { return 16 + b.vc.slotBytes }
 type wordHandle[K comparable, V any] struct {
 	b *wordBackend[K, V]
 	h tables.Handle
+	// wrapped is applyUp, bound once (a wrapper built per call is an
+	// allocation per call); up and d are its operands during one update.
+	wrapped tables.UpdateFn
+	up      func(cur, d V) V
+	d       V
+}
+
+func (h *wordHandle[K, V]) applyUp(cur, _ uint64) uint64 {
+	return h.b.vc.enc(h.up(h.b.vc.dec(cur), h.d))
+}
+
+// park sets wrapped's operands; the call it returns puts back what was
+// there — nothing, unless up itself updates through this handle.
+func (h *wordHandle[K, V]) park(up func(cur, d V) V, d V) func() {
+	prevUp, prevD := h.up, h.d
+	h.up, h.d = up, d
+	return func() { h.up, h.d = prevUp, prevD }
 }
 
 func (h *wordHandle[K, V]) insert(k K, v V) bool {
@@ -516,26 +579,23 @@ func (h *wordHandle[K, V]) insert(k K, v V) bool {
 }
 
 func (h *wordHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
-	return h.h.Update(h.b.kenc(k), 0, func(cur, _ uint64) uint64 {
-		return h.b.vc.enc(up(h.b.vc.dec(cur), d))
-	})
+	defer h.park(up, d)()
+	return h.h.Update(h.b.kenc(k), 0, h.wrapped)
 }
 
 func (h *wordHandle[K, V]) insertOrUpdate(k K, d V, up func(cur, d V) V) bool {
+	defer h.park(up, d)()
 	kw := h.b.kenc(k)
-	wrapped := func(cur, _ uint64) uint64 {
-		return h.b.vc.enc(up(h.b.vc.dec(cur), d))
-	}
 	if w, inline := h.b.vc.tryEnc(d); inline {
-		return h.h.InsertOrUpdate(kw, w, wrapped)
+		return h.h.InsertOrUpdate(kw, w, h.wrapped)
 	}
 	// Arena-bound operand: try the update path first so the steady-state
 	// (key present) case never encodes d, which would orphan one slot
 	// per call.
-	if h.h.Update(kw, 0, wrapped) {
+	if h.h.Update(kw, 0, h.wrapped) {
 		return false
 	}
-	return h.h.InsertOrUpdate(kw, h.b.vc.enc(d), wrapped)
+	return h.h.InsertOrUpdate(kw, h.b.vc.enc(d), h.wrapped)
 }
 
 func (h *wordHandle[K, V]) find(k K) (V, bool) {

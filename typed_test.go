@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	growt "repro"
 )
@@ -716,5 +717,71 @@ func TestStringKeyHasher(t *testing.T) {
 	m.Store("b", 2) // same hash: resolved on the stored keys
 	if v, ok := m.Load("b"); !ok || v != 2 || calls == 0 {
 		t.Fatalf("Load(b) = %d,%v after %d hasher calls", v, ok, calls)
+	}
+}
+
+// TestSessionsBeyondPoolCap: handles are as many as their simultaneous
+// holders. One Session more than the 8×GOMAXPROCS the pool used to be
+// capped at blocked for good in Map.Session.
+func TestSessionsBeyondPoolCap(t *testing.T) {
+	m := growt.New[string, int]()
+	defer m.Close()
+	n := 8*runtime.GOMAXPROCS(0) + 1
+	stored, release := make(chan int, n), make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := m.Session()
+			defer s.Close()
+			s.Store(fmt.Sprint(i), i)
+			stored <- i
+			<-release // every Session stays open until all have stored
+		}(i)
+	}
+	deadline := time.After(2 * time.Second)
+	for got := 0; got < n; got++ {
+		select {
+		case <-stored:
+		case <-deadline:
+			t.Fatalf("%d of %d concurrently open Sessions completed a Store within 2s", got, n)
+		}
+	}
+	close(release)
+	wg.Wait()
+	if got := m.ApproxSize(); got != uint64(n) {
+		t.Fatalf("size %d after %d Sessions stored a key each", got, n)
+	}
+}
+
+// TestFacadeAllocs pins what an operation on a present key allocates: on
+// the generic route nothing for a Load and the boxed value for a Store, on
+// the word route (inline values) nothing at all — neither the handle-free
+// hop nor the typed-to-word update wrapper may cost an allocation.
+func TestFacadeAllocs(t *testing.T) {
+	g := growt.New[string, string]()
+	defer g.Close()
+	g.Store("key", "v0")
+	w := growt.New[uint64, uint64]()
+	defer w.Close()
+	w.Store(7, 1)
+	wh := w.Handle()
+	for _, c := range []struct {
+		name string
+		want float64
+		op   func()
+	}{
+		{"generic Map.Load", 0, func() { g.Load("key") }},
+		{"generic Map.Store", 1, func() { g.Store("key", "v1") }},
+		{"word Map.Load", 0, func() { w.Load(7) }},
+		{"word Map.Store", 0, func() { w.Store(7, 2) }},
+		{"word Map.Compute", 0, func() { w.Compute(7, 1, growt.Add[uint64]) }},
+		{"word Handle.InsertOrUpdate", 0, func() { wh.InsertOrUpdate(7, 1, growt.Add[uint64]) }},
+		{"word Handle.Update", 0, func() { wh.Update(7, 1, growt.Add[uint64]) }},
+	} {
+		if got := testing.AllocsPerRun(1000, c.op); got != c.want {
+			t.Errorf("%s: %v allocs/op, want %v", c.name, got, c.want)
+		}
 	}
 }
