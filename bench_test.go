@@ -120,14 +120,6 @@ func BenchmarkFig8bPoolDelete(b *testing.B) {
 	runScenario(b, bench.Fig8bPoolDelete)
 }
 
-func BenchmarkFig9aTSXPresized(b *testing.B) {
-	runScenario(b, bench.Fig9aTSXPresized)
-}
-
-func BenchmarkFig9bTSXGrowing(b *testing.B) {
-	runScenario(b, bench.Fig9bTSXGrowing)
-}
-
 func BenchmarkFig10Memory(b *testing.B) {
 	runScenario(b, bench.Fig10Memory, "folklore", "uaGrow", "folly")
 }

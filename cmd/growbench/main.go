@@ -1,6 +1,6 @@
 // Command growbench regenerates the tables and figures of the paper's
-// evaluation (§8). Each experiment id corresponds to one figure/table;
-// see DESIGN.md's per-experiment index.
+// evaluation (§8). Each experiment id corresponds to one figure/table
+// (-list prints them; README's paper map says where each section lives).
 //
 // Usage:
 //

@@ -6,9 +6,9 @@
 // It provides the bounded lock-free linear-probing "folklore" table (§4
 // of the paper), the four adaptively growing variants uaGrow / usGrow /
 // paGrow / psGrow built on scalable cluster migration (§5, §7), the full
-// 64-bit key-space wrapper (§5.6), and a complex-key string map (§5.7).
-// The transaction-assisted variants (§6, emulated HTM) live in
-// internal/core and are reachable through cmd/growbench only.
+// 64-bit key-space wrapper (§5.6), and complex keys (§5.7) through the
+// typed facade. The transaction-assisted variants (§6) are not
+// reproduced: Go has no hardware transactions (README, paper map).
 //
 // # Quick start
 //
@@ -44,14 +44,12 @@
 // 63-bit nonzero keys and 62-bit values (the spare bits drive the cell
 // protocol). That layer stays public for benchmarks and embedders:
 // NewMap/Options build a WordMap, NewFullKeyMap restores the full 64-bit
-// key space (§5.6), NewStringMap is the raw string table (§5.7), and the
-// Close/ApproxSize/Range helpers probe optional capabilities by type
-// assertion.
+// key space (§5.6), and the Close/ApproxSize/Range helpers probe optional
+// capabilities by type assertion.
 package growt
 
 import (
 	"repro/internal/core"
-	"repro/internal/stringmap"
 	"repro/internal/tables"
 )
 
@@ -145,14 +143,6 @@ func NewGrow(s Strategy, initialCapacity uint64) *core.Grow {
 // NewFullKeyMap wraps tables built by mk into a map accepting the entire
 // 64-bit key space (§5.6 two-subtable construction).
 func NewFullKeyMap(mk func() WordMap) *core.FullKeys { return core.NewFullKeys(mk) }
-
-// StringMap is the complex-key table of §5.7 (string keys, arena
-// storage, signature-accelerated probing).
-type StringMap = stringmap.Map
-
-// NewStringMap builds a bounded string-keyed map sized for expected
-// elements.
-func NewStringMap(expected uint64) *StringMap { return stringmap.New(expected) }
 
 // Close releases background resources if the map owns any (the dedicated
 // migration pools of paGrow/psGrow). Safe to call on any WordMap.

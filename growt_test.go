@@ -80,14 +80,3 @@ func TestPublicFullKeyMap(t *testing.T) {
 	}
 	m.Close()
 }
-
-func TestPublicStringMap(t *testing.T) {
-	m := growt.NewStringMap(100)
-	h := m.Handle()
-	if !h.Insert("alpha", 1) {
-		t.Fatal("insert")
-	}
-	if v, ok := h.Find("alpha"); !ok || v != 1 {
-		t.Fatal("find")
-	}
-}

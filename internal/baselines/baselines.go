@@ -4,7 +4,8 @@
 // that cannot be linked from an offline pure-Go module, so each stand-in
 // reproduces the *algorithm class* — fine-grained locking vs. open
 // addressing vs. chaining vs. RCU-style ordered lists — which is what the
-// paper's comparison measures (see DESIGN.md §1.3/§4 for the mapping).
+// paper's comparison measures (README's table of variants and
+// `growbench -exp table1` give the mapping).
 //
 // Every table implements tables.Interface and registers itself in the
 // capability registry, so the conformance suite and the benchmark harness

@@ -465,8 +465,8 @@ func TestRangeAndSizers(t *testing.T) {
 // TestRegistryComplete: every expected table is registered with coherent
 // capabilities (Table 1 source of truth).
 func TestRegistryComplete(t *testing.T) {
-	want := append([]string{"folklore", "tsxfolklore", "uaGrow", "usGrow",
-		"paGrow", "psGrow", "uaGrow-tsx", "usGrow-tsx"}, all...)
+	want := append([]string{"folklore", "uaGrow", "usGrow",
+		"paGrow", "psGrow"}, all...)
 	for _, name := range want {
 		caps, ok := tables.Lookup(name)
 		if !ok {
@@ -477,7 +477,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("%s has incomplete capabilities", name)
 		}
 	}
-	if len(tables.All()) < len(want) {
-		t.Fatalf("registry has %d entries, want ≥ %d", len(tables.All()), len(want))
+	if len(tables.All()) != len(want) {
+		t.Fatalf("registry has %d entries, want %d", len(tables.All()), len(want))
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Linear map [31]: open addressing over word-sized cells, wait-free
 // reads on an atomically published table, and growth by migrating into a
 // freshly allocated bigger table. Junction coordinates its migration with
-// QSBR; Go's GC replaces the reclamation half (DESIGN.md §4), and the
+// QSBR; Go's GC replaces the reclamation half, and the
 // migration itself is protected by a writer lock (writers stall during a
 // migration — the growth stalls visible for junction in Fig. 2b).
 // Deletion stores a value tombstone, reclaimed at the next migration.

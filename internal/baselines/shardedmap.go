@@ -14,7 +14,7 @@ const shardCount = 256
 // ShardedMap is a split-lock general-purpose map: builtin Go maps behind
 // per-shard RWMutexes. It stands in for TBB's
 // concurrent_unordered_map-style tables (general types, growing, but
-// lock-based accessors — see DESIGN.md §1.3).
+// lock-based accessors).
 type ShardedMap struct {
 	shards [shardCount]struct {
 		mu sync.RWMutex

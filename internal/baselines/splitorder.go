@@ -16,7 +16,7 @@ import (
 // pointers (sentinel nodes) into the list, and growing just doubles the
 // published bucket count — elements never move. Where urcu needs
 // read-copy-update grace periods to reclaim unlinked nodes, Go's GC
-// provides reclamation for free (see DESIGN.md §4).
+// provides reclamation for free.
 //
 // The list uses Michael-style marking: a deleted node's next pointer is
 // swung to a dedicated marker node wrapping the real successor, which

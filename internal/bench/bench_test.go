@@ -61,11 +61,15 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 }
 
-// TestExperimentsCoverPaper: every figure and table of §8 has a runner.
+// TestExperimentsCoverPaper: every figure and table of §8 has a runner,
+// except fig9a/fig9b: §6's hardware transactions are not reproducible in
+// Go (no RTM intrinsics); the emulation that stood in for them measured
+// slower than the CAS path it was meant to beat and was deleted — the
+// measurement is recorded in README's paper map (§6) and BENCH_22.json.
 func TestExperimentsCoverPaper(t *testing.T) {
 	want := []string{"table1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4a",
 		"fig4b", "fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8a",
-		"fig8b", "fig9a", "fig9b", "fig10", "fig11a", "fig11b",
+		"fig8b", "fig10", "fig11a", "fig11b",
 		"sweep"} // the cache sweeper cycle rides along with the §8 figures
 	for _, id := range want {
 		if _, ok := Experiments[id]; !ok {

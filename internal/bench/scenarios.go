@@ -13,7 +13,7 @@ var (
 	// AllTables: everything registered that takes part in the headline
 	// comparisons.
 	AllTables = []string{
-		"folklore", "uaGrow", "usGrow", "tsxfolklore",
+		"folklore", "uaGrow", "usGrow",
 		"phase", "hopscotch", "leahash",
 		"folly", "cuckoo", "junctionlinear", "splitorder",
 		"lockedchain", "shardedmap", "syncmap", "mutexmap",
@@ -43,10 +43,6 @@ var (
 	}
 	// PoolTables compares user-thread vs pool migration (Fig. 8).
 	PoolTables = []string{"uaGrow", "usGrow", "paGrow", "psGrow"}
-	// TSXPresized compares the bounded tables (Fig. 9a).
-	TSXPresized = []string{"folklore", "tsxfolklore"}
-	// TSXGrowing compares the growing instantiations (Fig. 9b).
-	TSXGrowing = []string{"uaGrow", "usGrow", "uaGrow-tsx", "usGrow-tsx"}
 )
 
 // seqInsertSeconds measures the sequential baseline for speedup columns.
@@ -478,18 +474,6 @@ func Fig8bPoolDelete(cfg *Config) []Result {
 	return deleteScenario(cfg, "fig8b pool vs user migration (delete)", PoolTables, false)
 }
 
-// Fig9aTSXPresized — tsxfolklore vs folklore, pre-sized inserts.
-func Fig9aTSXPresized(cfg *Config) []Result {
-	cfg.Defaults()
-	return insertScenario(cfg, "fig9a TSX (pre-sized insert)", TSXPresized, true)
-}
-
-// Fig9bTSXGrowing — TSX-instantiated growing variants.
-func Fig9bTSXGrowing(cfg *Config) []Result {
-	cfg.Defaults()
-	return insertScenario(cfg, "fig9b TSX (growing insert)", TSXGrowing, false)
-}
-
 // Fig10Memory — unsuccessful-find throughput vs memory footprint for a
 // sweep of initial sizes (§8.4 "Memory Consumption").
 func Fig10Memory(cfg *Config) []Result {
@@ -625,8 +609,6 @@ var Experiments = map[string]func(*Config) []Result{
 	"fig7b":  Fig7bMixGrowing,
 	"fig8a":  Fig8aPoolInsert,
 	"fig8b":  Fig8bPoolDelete,
-	"fig9a":  Fig9aTSXPresized,
-	"fig9b":  Fig9bTSXGrowing,
 	"fig10":  Fig10Memory,
 	"fig11a": Fig11aManyThreads,
 	"fig11b": Fig11bManyThreads,
@@ -637,5 +619,5 @@ var Experiments = map[string]func(*Config) []Result{
 var Order = []string{
 	"table1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b",
 	"fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8a", "fig8b",
-	"fig9a", "fig9b", "fig10", "fig11a", "fig11b", "sweep",
+	"fig10", "fig11a", "fig11b", "sweep",
 }

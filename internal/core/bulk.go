@@ -27,7 +27,7 @@ type KV struct {
 func BuildFolklore(elems []KV, p int) *Folklore {
 	f := NewFolklore(uint64(len(elems)) + 1)
 	bulkFill(f.t, elems, p)
-	f.c.ins.Store(f.t.countLive())
+	f.t.c.ins.Store(f.t.countLive())
 	return f
 }
 

@@ -1,8 +1,7 @@
 // Package core implements the paper's primary contribution: the folklore
 // bounded lock-free linear-probing hash table (§4) and its generalization
 // to adaptively sized tables via scalable cluster migration (§5), in the
-// four strategy combinations uaGrow / usGrow / paGrow / psGrow (§7), plus
-// the transaction-assisted tsxfolklore variant (§6).
+// four strategy combinations uaGrow / usGrow / paGrow / psGrow (§7).
 //
 // # Cell protocol
 //
@@ -65,7 +64,13 @@
 //     is absent from this generation.
 //  4. Value words of unpublished cells (key E or P) are written only by
 //     the cell's claiming inserter and the marking migrator — so a failed
-//     casVal(Z→L) proves markedBit was set, which insertCore asserts.
+//     casVal(Z→L) proves markedBit was set, which claim asserts.
+//
+// The probe is spelled once per kind: claim is the only code that writes
+// k|pending, publishes a key, or leaves a cell dead-and-marked
+// (invariants 3 and 4); locate finds k's published cell without writing.
+// Every mutating operation is one of the two plus its own value-word CAS
+// loop (invariant 2); findCore, which never writes, keeps its own probe.
 //
 // Migration arming (grow.go) has its own generation invariant: a
 // migration may only be armed for the table that is *still current* once
@@ -143,9 +148,8 @@ type Table struct {
 	// counter would have to be destructively reset at the flip, and any
 	// handle flushing a pre-flip delta afterwards would double-count
 	// elements already included in the moved total (overcounting breaks
-	// the estimate's undercount-only guarantee). The bounded wrappers
-	// (Folklore, TSXFolklore) keep their own counters and leave this one
-	// zero.
+	// the estimate's undercount-only guarantee). The bounded Folklore
+	// wrapper counts in its single generation's.
 	c counters
 }
 
@@ -175,13 +179,6 @@ func NewTable(capacity uint64) *Table {
 // a tables.Cursor can detect that the generation it was taken against has
 // been retired by a migration (id 0 is reserved for "no cursor").
 var tableGen atomic.Uint64
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Capacity returns the number of cells.
 func (t *Table) Capacity() uint64 { return t.capacity }
@@ -236,12 +233,24 @@ func checkValue(v uint64) {
 	}
 }
 
-// insertCore attempts to insert ⟨k,d⟩. Precondition: checkKey/checkValue.
+// claim probes to k's cell, claiming the first empty cell on the way with
+// ⟨k,d⟩ (Algorithm 1's probe). It is the only place that writes
+// k|pendingBit, publishes a key, or leaves a cell dead-and-marked. Results:
+//
+//	statusInserted  claimed cell i and published ⟨k,d⟩ live in it
+//	statusMarked    claimed cell i but a migrator marked it first: the cell
+//	                is left dead AND marked, the element is absent here
+//	statusPresent   cell i already carries k, published (live, tombstone or
+//	                marked — the caller's value-word loop decides)
+//	statusFull      probe limit exceeded
+//
+// A pending claim of k by another inserter is waited out (the caller's
+// operation must apply to that element); a foreign pending claim is
+// walked over like any foreign key.
 //
 //growt:hotpath
-func (t *Table) insertCore(k, d uint64) opStatus {
-	h := hashfn.Hash64(k)
-	i := t.index(h)
+func (t *Table) claim(k, d uint64) (uint64, opStatus) {
+	i := t.index(hashfn.Hash64(k))
 	mask := t.capacity - 1
 	for probes := uint64(0); probes <= t.probeCap; probes++ {
 		kw := t.loadKey(i)
@@ -252,7 +261,7 @@ func (t *Table) insertCore(k, d uint64) opStatus {
 				// invariant 4), so this CAS fails only against a mark.
 				if t.casVal(i, 0, d|liveBit) {
 					t.storeKey(i, k)
-					return statusInserted
+					return i, statusInserted
 				}
 				// Marked mid-claim: the consumed cell must end dead AND
 				// marked (protocol invariant 3) so that probe chains (which
@@ -265,38 +274,41 @@ func (t *Table) insertCore(k, d uint64) opStatus {
 					panic("core: claim value CAS failed on an unmarked cell — cell protocol violated")
 				}
 				t.storeKey(i, k)
-				return statusMarked
+				return i, statusMarked
 			}
 			// Lost the claim race: re-examine this same cell (Alg. 1, i--).
 			kw = t.loadKey(i)
 		}
-		if kw&pendingBit != 0 {
-			if kw&keyMask != k {
-				// Foreign in-flight insert occupies the cell; move on.
-				i = (i + 1) & mask
-				continue
+		if kw&keyMask == k {
+			if kw&pendingBit != 0 {
+				t.waitKey(i)
 			}
-			kw = t.waitKey(i)
-		}
-		if kw == k {
-			for {
-				v := t.loadVal(i)
-				if v&markedBit != 0 {
-					return statusMarked
-				}
-				if v&liveBit != 0 {
-					return statusPresent
-				}
-				// Tombstone owned by k: revive in place.
-				if t.casVal(i, v, d|liveBit) {
-					return statusInserted
-				}
-				t.recheckKey(i, k)
-			}
+			return i, statusPresent
 		}
 		i = (i + 1) & mask
 	}
-	return statusFull
+	return 0, statusFull
+}
+
+// locate probes to k's published cell without writing. A pending insert
+// of k reads as absent — the caller linearizes before it and never spins
+// — and so does running off the probe limit.
+//
+//growt:hotpath
+func (t *Table) locate(k uint64) (uint64, bool) {
+	i := t.index(hashfn.Hash64(k))
+	mask := t.capacity - 1
+	for probes := uint64(0); probes <= t.probeCap; probes++ {
+		kw := t.loadKey(i)
+		if kw == 0 {
+			return 0, false
+		}
+		if kw&keyMask == k {
+			return i, kw&pendingBit == 0
+		}
+		i = (i + 1) & mask
+	}
+	return 0, false
 }
 
 // recheckKey re-validates, after a failed value-word CAS, that cell i
@@ -314,100 +326,85 @@ func (t *Table) recheckKey(i, k uint64) {
 	}
 }
 
-// updateCore applies up to the element with key k.
+// insertCore attempts to insert ⟨k,d⟩: claim, or revive k's tombstone in
+// place. Precondition: checkKey/checkValue.
+//
+//growt:hotpath
+func (t *Table) insertCore(k, d uint64) opStatus {
+	i, st := t.claim(k, d)
+	if st != statusPresent {
+		return st
+	}
+	for {
+		v := t.loadVal(i)
+		if v&markedBit != 0 {
+			return statusMarked
+		}
+		if v&liveBit != 0 {
+			return statusPresent
+		}
+		// Tombstone owned by k: revive in place.
+		if t.casVal(i, v, d|liveBit) {
+			return statusInserted
+		}
+		t.recheckKey(i, k)
+	}
+}
+
+// updateCore applies up to the element with key k, if it is live: locate
+// (a pending insert of k linearizes after this update, which reads
+// absent), then the mark-checked CAS loop of invariant 2.
 //
 //growt:hotpath
 func (t *Table) updateCore(k, d uint64, up func(cur, d uint64) uint64) opStatus {
-	h := hashfn.Hash64(k)
-	i := t.index(h)
-	mask := t.capacity - 1
-	for probes := uint64(0); probes <= t.probeCap; probes++ {
-		kw := t.loadKey(i)
-		if kw == 0 {
+	i, ok := t.locate(k)
+	if !ok {
+		return statusAbsent
+	}
+	for {
+		v := t.loadVal(i)
+		if v&markedBit != 0 {
+			return statusMarked
+		}
+		if v&liveBit == 0 {
 			return statusAbsent
 		}
-		if kw&keyMask == k {
-			if kw&pendingBit != 0 {
-				// In-flight insert of k: linearize this update before it.
-				return statusAbsent
-			}
-			for {
-				v := t.loadVal(i)
-				if v&markedBit != 0 {
-					return statusMarked
-				}
-				if v&liveBit == 0 {
-					return statusAbsent
-				}
-				nv := up(v&valueMask, d)&valueMask | liveBit
-				if t.casVal(i, v, nv) {
-					return statusUpdated
-				}
-				t.recheckKey(i, k)
-			}
+		nv := up(v&valueMask, d)&valueMask | liveBit
+		if t.casVal(i, v, nv) {
+			return statusUpdated
 		}
-		i = (i + 1) & mask
+		t.recheckKey(i, k)
 	}
-	return statusAbsent
 }
 
-// insertOrUpdateCore implements Algorithm 1 of the paper.
+// insertOrUpdateCore implements Algorithm 1 of the paper: claim, or — the
+// key being there already, possibly after waiting out a concurrent insert
+// of it, since insertOrUpdate cannot fail — update or revive its element.
 //
 //growt:hotpath
 func (t *Table) insertOrUpdateCore(k, d uint64, up func(cur, d uint64) uint64) opStatus {
-	h := hashfn.Hash64(k)
-	i := t.index(h)
-	mask := t.capacity - 1
-	for probes := uint64(0); probes <= t.probeCap; probes++ {
-		kw := t.loadKey(i)
-		if kw == 0 {
-			if t.casKey(i, 0, k|pendingBit) {
-				if t.casVal(i, 0, d|liveBit) {
-					t.storeKey(i, k)
-					return statusInserted
-				}
-				// Marked mid-claim: leave the cell dead AND marked, exactly
-				// as insertCore does (protocol invariant 3).
-				if t.loadVal(i)&markedBit == 0 {
-					panic("core: claim value CAS failed on an unmarked cell — cell protocol violated")
-				}
-				t.storeKey(i, k)
-				return statusMarked
-			}
-			kw = t.loadKey(i)
-		}
-		if kw&pendingBit != 0 {
-			if kw&keyMask != k {
-				i = (i + 1) & mask
-				continue
-			}
-			// Concurrent insert of the same key: our update must apply to
-			// it (insertOrUpdate cannot fail), so wait for publication.
-			kw = t.waitKey(i)
-		}
-		if kw == k {
-			for {
-				v := t.loadVal(i)
-				if v&markedBit != 0 {
-					return statusMarked
-				}
-				if v&liveBit == 0 {
-					if t.casVal(i, v, d|liveBit) {
-						return statusInserted
-					}
-					t.recheckKey(i, k)
-					continue
-				}
-				nv := up(v&valueMask, d)&valueMask | liveBit
-				if t.casVal(i, v, nv) {
-					return statusUpdated
-				}
-				t.recheckKey(i, k)
-			}
-		}
-		i = (i + 1) & mask
+	i, st := t.claim(k, d)
+	if st != statusPresent {
+		return st
 	}
-	return statusFull
+	for {
+		v := t.loadVal(i)
+		if v&markedBit != 0 {
+			return statusMarked
+		}
+		if v&liveBit == 0 {
+			if t.casVal(i, v, d|liveBit) {
+				return statusInserted
+			}
+			t.recheckKey(i, k)
+			continue
+		}
+		nv := up(v&valueMask, d)&valueMask | liveBit
+		if t.casVal(i, v, nv) {
+			return statusUpdated
+		}
+		t.recheckKey(i, k)
+	}
 }
 
 // insertOrAddCore is the fetch-and-add specialization of insertOrUpdate
@@ -428,89 +425,61 @@ func (t *Table) insertOrUpdateCore(k, d uint64, up func(cur, d uint64) uint64) o
 //
 //growt:hotpath
 func (t *Table) insertOrAddCore(k, d uint64) opStatus {
-	h := hashfn.Hash64(k)
-	i := t.index(h)
-	mask := t.capacity - 1
-	for probes := uint64(0); probes <= t.probeCap; probes++ {
-		kw := t.loadKey(i)
-		if kw == 0 {
-			if t.casKey(i, 0, k|pendingBit) {
-				if t.casVal(i, 0, d|liveBit) {
-					t.storeKey(i, k)
-					return statusInserted
-				}
-				// Marked mid-claim (protocol invariant 3): dead AND marked.
-				if t.loadVal(i)&markedBit == 0 {
-					panic("core: claim value CAS failed on an unmarked cell — cell protocol violated")
-				}
-				t.storeKey(i, k)
+	i, st := t.claim(k, d)
+	if st != statusPresent {
+		return st
+	}
+	for {
+		v := t.loadVal(i)
+		if v&liveBit == 0 {
+			if v&markedBit != 0 {
 				return statusMarked
 			}
-			kw = t.loadKey(i)
-		}
-		if kw&pendingBit != 0 {
-			if kw&keyMask != k {
-				i = (i + 1) & mask
-				continue
+			if t.casVal(i, v, d|liveBit) {
+				return statusInserted
 			}
-			kw = t.waitKey(i)
+			t.recheckKey(i, k)
+			continue
 		}
-		if kw == k {
-			for {
-				v := t.loadVal(i)
-				if v&liveBit == 0 {
-					if v&markedBit != 0 {
-						return statusMarked
-					}
-					if t.casVal(i, v, d|liveBit) {
-						return statusInserted
-					}
-					t.recheckKey(i, k)
-					continue
-				}
-				// Live: unconditional fetch-and-add on the value word. A
-				// racing delete can clear the live bit first; the pre-add
-				// word (nv - d is exact: addVal returns old + our d) tells
-				// us which case we hit.
-				nv := t.addVal(i, d)
-				pre := nv - d
-				if nv&markedBit != 0 {
-					if pre&markedBit != 0 {
-						// The addend landed on an already-marked word; the
-						// migration copy may already have read the value, so
-						// the update would be lost. The caller broke the
-						// writers-excluded contract above.
-						panic("core: insertOrAddCore raced a marking migration — synchronized-mode exclusion violated")
-					}
-					// The sum itself carried out of the 62-bit value domain
-					// through the live bit into the marked bit. The pre-fix
-					// code silently corrupted the cell in this case; failing
-					// loudly is the only honest option short of saturating
-					// arithmetic.
-					panic(fmt.Sprintf("core: InsertOrAdd sum overflowed the 62-bit value domain for key %#x", k))
-				}
-				if pre&liveBit != 0 {
-					// The cell was live when the add landed; nv's live bit
-					// is still set (a carry out of the value bits would have
-					// reached markedBit and panicked above).
-					return statusUpdated
-				}
-				// The addend landed in a tombstone: it is invisible only
-				// while the dead cell's value bits stay below the live bit.
-				// A large residue (earlier adds that also landed dead) plus
-				// d can carry INTO the live bit, making the dead cell read
-				// as live with a garbage value — a silent resurrection the
-				// old code's "retry the revive path" comment overlooked.
-				// Undoing the add races other writers, so fail loudly; the
-				// benign no-carry case retries the revive path as before.
-				if nv&liveBit != 0 {
-					panic(fmt.Sprintf("core: InsertOrAdd addend carried into the live bit of a tombstone for key %#x (value domain overflow on a dead cell)", k))
-				}
+		// Live: unconditional fetch-and-add on the value word. A
+		// racing delete can clear the live bit first; the pre-add
+		// word (nv - d is exact: addVal returns old + our d) tells
+		// us which case we hit.
+		nv := t.addVal(i, d)
+		pre := nv - d
+		if nv&markedBit != 0 {
+			if pre&markedBit != 0 {
+				// The addend landed on an already-marked word; the
+				// migration copy may already have read the value, so
+				// the update would be lost. The caller broke the
+				// writers-excluded contract above.
+				panic("core: insertOrAddCore raced a marking migration — synchronized-mode exclusion violated")
 			}
+			// The sum itself carried out of the 62-bit value domain
+			// through the live bit into the marked bit. The pre-fix
+			// code silently corrupted the cell in this case; failing
+			// loudly is the only honest option short of saturating
+			// arithmetic.
+			panic(fmt.Sprintf("core: InsertOrAdd sum overflowed the 62-bit value domain for key %#x", k))
 		}
-		i = (i + 1) & mask
+		if pre&liveBit != 0 {
+			// The cell was live when the add landed; nv's live bit
+			// is still set (a carry out of the value bits would have
+			// reached markedBit and panicked above).
+			return statusUpdated
+		}
+		// The addend landed in a tombstone: it is invisible only
+		// while the dead cell's value bits stay below the live bit.
+		// A large residue (earlier adds that also landed dead) plus
+		// d can carry INTO the live bit, making the dead cell read
+		// as live with a garbage value — a silent resurrection the
+		// old code's "retry the revive path" comment overlooked.
+		// Undoing the add races other writers, so fail loudly; the
+		// benign no-carry case retries the revive path as before.
+		if nv&liveBit != 0 {
+			panic(fmt.Sprintf("core: InsertOrAdd addend carried into the live bit of a tombstone for key %#x (value domain overflow on a dead cell)", k))
+		}
 	}
-	return statusFull
 }
 
 // findCore looks up k. Wait-free: never spins, never writes. Marked cells
@@ -550,36 +519,23 @@ func (t *Table) findCore(k uint64) (uint64, bool) {
 //
 //growt:hotpath
 func (t *Table) deleteCore(k uint64) (uint64, opStatus) {
-	h := hashfn.Hash64(k)
-	i := t.index(h)
-	mask := t.capacity - 1
-	for probes := uint64(0); probes <= t.probeCap; probes++ {
-		kw := t.loadKey(i)
-		if kw == 0 {
+	i, ok := t.locate(k)
+	if !ok {
+		return 0, statusAbsent
+	}
+	for {
+		v := t.loadVal(i)
+		if v&markedBit != 0 {
+			return 0, statusMarked
+		}
+		if v&liveBit == 0 {
 			return 0, statusAbsent
 		}
-		if kw&keyMask == k {
-			if kw&pendingBit != 0 {
-				// Linearize before the in-flight insert.
-				return 0, statusAbsent
-			}
-			for {
-				v := t.loadVal(i)
-				if v&markedBit != 0 {
-					return 0, statusMarked
-				}
-				if v&liveBit == 0 {
-					return 0, statusAbsent
-				}
-				if t.casVal(i, v, v&^liveBit) {
-					return v & valueMask, statusUpdated
-				}
-				t.recheckKey(i, k)
-			}
+		if t.casVal(i, v, v&^liveBit) {
+			return v & valueMask, statusUpdated
 		}
-		i = (i + 1) & mask
+		t.recheckKey(i, k)
 	}
-	return 0, statusAbsent
 }
 
 // compareAndDeleteCore tombstones k iff its current value equals want.
@@ -590,39 +546,26 @@ func (t *Table) deleteCore(k uint64) (uint64, opStatus) {
 //
 //growt:hotpath
 func (t *Table) compareAndDeleteCore(k, want uint64) opStatus {
-	h := hashfn.Hash64(k)
-	i := t.index(h)
-	mask := t.capacity - 1
-	for probes := uint64(0); probes <= t.probeCap; probes++ {
-		kw := t.loadKey(i)
-		if kw == 0 {
+	i, ok := t.locate(k)
+	if !ok {
+		return statusAbsent
+	}
+	for {
+		v := t.loadVal(i)
+		if v&markedBit != 0 {
+			return statusMarked
+		}
+		if v&liveBit == 0 {
 			return statusAbsent
 		}
-		if kw&keyMask == k {
-			if kw&pendingBit != 0 {
-				// Linearize before the in-flight insert.
-				return statusAbsent
-			}
-			for {
-				v := t.loadVal(i)
-				if v&markedBit != 0 {
-					return statusMarked
-				}
-				if v&liveBit == 0 {
-					return statusAbsent
-				}
-				if v&valueMask != want {
-					return statusMismatch
-				}
-				if t.casVal(i, v, v&^liveBit) {
-					return statusUpdated
-				}
-				t.recheckKey(i, k)
-			}
+		if v&valueMask != want {
+			return statusMismatch
 		}
-		i = (i + 1) & mask
+		if t.casVal(i, v, v&^liveBit) {
+			return statusUpdated
+		}
+		t.recheckKey(i, k)
 	}
-	return statusAbsent
 }
 
 // rangeCore calls f on every live element; quiescent use only.

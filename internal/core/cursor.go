@@ -27,12 +27,6 @@ func (f *Folklore) RangeFrom(cur tables.Cursor, fn func(k, v uint64) bool) (tabl
 	return cursorInto(f.t, cur, fn)
 }
 
-// RangeFrom resumes iteration from cur (tables.CursorRanger); quiescent
-// use only, like Range.
-func (f *TSXFolklore) RangeFrom(cur tables.Cursor, fn func(k, v uint64) bool) (tables.Cursor, bool) {
-	return cursorInto(f.t, cur, fn)
-}
-
 // RangeFrom resumes iteration from cur against the current generation
 // (tables.CursorRanger). A cursor taken before a migration carries the
 // retired generation's id and restarts from slot zero of the new
@@ -42,5 +36,4 @@ func (g *Grow) RangeFrom(cur tables.Cursor, fn func(k, v uint64) bool) (tables.C
 }
 
 var _ tables.CursorRanger = (*Folklore)(nil)
-var _ tables.CursorRanger = (*TSXFolklore)(nil)
 var _ tables.CursorRanger = (*Grow)(nil)

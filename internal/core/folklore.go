@@ -18,7 +18,6 @@ import (
 // the growing variants' migration adds), approximate size, range.
 type Folklore struct {
 	t *Table
-	c counters
 }
 
 // NewFolklore builds a bounded table with capacity ≥ 2·expected rounded
@@ -41,7 +40,7 @@ func (f *Folklore) Capacity() uint64 { return f.t.capacity }
 func (f *Folklore) MemBytes() uint64 { return f.t.MemBytes() }
 
 // ApproxSize estimates the number of live elements (§5.2).
-func (f *Folklore) ApproxSize() uint64 { return f.c.approxLive() }
+func (f *Folklore) ApproxSize() uint64 { return f.t.c.approxLive() }
 
 // Range iterates all live elements; quiescent use only.
 func (f *Folklore) Range(fn func(k, v uint64) bool) { f.t.rangeCore(fn) }
@@ -71,7 +70,7 @@ func (h *folkloreHandle) Insert(k, d uint64) bool {
 	checkValue(d)
 	switch h.f.t.insertCore(k, d) {
 	case statusInserted:
-		h.lc.bumpIns(&h.f.c)
+		h.lc.bumpIns(&h.f.t.c)
 		return true
 	case statusPresent:
 		return false
@@ -90,7 +89,7 @@ func (h *folkloreHandle) InsertOrUpdate(k, d uint64, up tables.UpdateFn) bool {
 	checkValue(d)
 	switch h.f.t.insertOrUpdateCore(k, d, up) {
 	case statusInserted:
-		h.lc.bumpIns(&h.f.c)
+		h.lc.bumpIns(&h.f.t.c)
 		return true
 	case statusUpdated:
 		return false
@@ -106,7 +105,7 @@ func (h *folkloreHandle) InsertOrAdd(k, d uint64) bool {
 	checkValue(d)
 	switch h.f.t.insertOrAddCore(k, d) {
 	case statusInserted:
-		h.lc.bumpIns(&h.f.c)
+		h.lc.bumpIns(&h.f.t.c)
 		return true
 	case statusUpdated:
 		return false
@@ -121,7 +120,7 @@ func (h *folkloreHandle) CompareAndDelete(k, want uint64) bool {
 	checkKey(k)
 	checkValue(want)
 	if h.f.t.compareAndDeleteCore(k, want) == statusUpdated {
-		h.lc.bumpDel(&h.f.c)
+		h.lc.bumpDel(&h.f.t.c)
 		return true
 	}
 	return false
@@ -142,7 +141,7 @@ func (h *folkloreHandle) Delete(k uint64) bool {
 func (h *folkloreHandle) LoadAndDelete(k uint64) (uint64, bool) {
 	checkKey(k)
 	if v, st := h.f.t.deleteCore(k); st == statusUpdated {
-		h.lc.bumpDel(&h.f.c)
+		h.lc.bumpDel(&h.f.t.c)
 		return v, true
 	}
 	return 0, false

@@ -129,113 +129,3 @@ func TestFullKeysQuickModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTSXFolkloreBasics(t *testing.T) {
-	f := NewTSXFolklore(1000)
-	h := f.Handle()
-	for k := uint64(1); k <= 1000; k++ {
-		if !h.Insert(k, k*3) {
-			t.Fatalf("insert %d", k)
-		}
-	}
-	for k := uint64(1); k <= 1000; k++ {
-		if v, ok := h.Find(k); !ok || v != k*3 {
-			t.Fatalf("find %d", k)
-		}
-	}
-	if h.Insert(5, 9) {
-		t.Fatal("duplicate insert")
-	}
-	if !h.Update(5, 100, tables.Overwrite) {
-		t.Fatal("update")
-	}
-	if v, _ := h.Find(5); v != 100 {
-		t.Fatal("update value")
-	}
-	if !h.Delete(5) || h.Delete(5) {
-		t.Fatal("delete")
-	}
-	if !h.Insert(5, 7) { // revive
-		t.Fatal("revive")
-	}
-	commits, _, _ := f.TxStats()
-	if commits == 0 {
-		t.Fatal("no transactions recorded")
-	}
-	if f.Capacity() < 2000 || f.MemBytes() == 0 || f.ApproxSize() == 0 {
-		t.Fatal("accessors")
-	}
-	n := 0
-	f.Range(func(k, v uint64) bool { n++; return true })
-	if n != 1000 {
-		t.Fatalf("range %d", n)
-	}
-}
-
-func TestTSXQuickModel(t *testing.T) {
-	f := func(ops []modelOp) bool {
-		fl := NewTSXFolklore(2048)
-		runDifferential(t, fl.Handle(), ops)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTSXGrowAllStrategies(t *testing.T) {
-	const n = 30000
-	for _, s := range allStrategies() {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			g := NewGrowTSX(s, 64)
-			defer g.Close()
-			h := g.Handle()
-			for k := uint64(1); k <= n; k++ {
-				if !h.Insert(k, k+1) {
-					t.Fatalf("insert %d", k)
-				}
-			}
-			for k := uint64(1); k <= n; k++ {
-				if v, ok := h.Find(k); !ok || v != k+1 {
-					t.Fatalf("find %d after growth", k)
-				}
-			}
-			commits, _, _ := g.TxStats()
-			if commits == 0 {
-				t.Fatal("TSX grow did not run transactions")
-			}
-		})
-	}
-}
-
-func TestTSXGrowConcurrent(t *testing.T) {
-	for _, s := range []Strategy{UA, US} {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			g := NewGrowTSX(s, 64)
-			defer g.Close()
-			done := make(chan uint64, 8)
-			const keys = 15000
-			for i := 0; i < 8; i++ {
-				go func(id uint64) {
-					h := g.Handle()
-					var wins uint64
-					for k := uint64(1); k <= keys; k++ {
-						if h.Insert(k, k) {
-							wins++
-						}
-					}
-					done <- wins
-				}(uint64(i))
-			}
-			var total uint64
-			for i := 0; i < 8; i++ {
-				total += <-done
-			}
-			if total != keys {
-				t.Fatalf("insert successes %d, want %d", total, keys)
-			}
-		})
-	}
-}

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/htm"
 	"repro/internal/obs/trace"
 	"repro/internal/pad"
 	"repro/internal/tables"
@@ -66,11 +66,6 @@ type Grow struct {
 	// Monotone; advanced in onDone after the table pointer flips.
 	gen atomic.Uint64
 
-	// tx, when non-nil, routes all write operations (and migration
-	// marking) through emulated restricted transactions — the TSX-based
-	// instantiation of §7 measured in Fig. 9b.
-	tx *htm.TxRegion
-
 	// busy flags of all live handles; only used by synchronized variants.
 	busyMu sync.Mutex
 	busys  []*pad.Bool
@@ -93,23 +88,6 @@ func NewGrow(strategy Strategy, initialCapacity uint64) *Grow {
 		}
 	}
 	return g
-}
-
-// NewGrowTSX builds a growing table whose write operations run inside
-// emulated restricted transactions (tsxfolklore as the underlying
-// bounded table, §7/Fig. 9b).
-func NewGrowTSX(strategy Strategy, initialCapacity uint64) *Grow {
-	g := NewGrow(strategy, initialCapacity)
-	g.tx = htm.NewTxRegion()
-	return g
-}
-
-// TxStats returns the emulated-HTM statistics (zero for non-TSX tables).
-func (g *Grow) TxStats() (commits, aborts, fallbacks uint64) {
-	if g.tx == nil {
-		return 0, 0, 0
-	}
-	return g.tx.Stats()
 }
 
 // Strategy returns the variant.
@@ -191,7 +169,7 @@ func (g *Grow) initiate(src *Table) {
 func (g *Grow) migrationTo(src, dst *Table) *migration {
 	trigger := classifyTrigger(src.capacity, dst.capacity)
 	start := time.Now()
-	m := newMigration(src, dst, !g.strategy.synchronized(), func(moved uint64) {
+	return newMigration(src, dst, !g.strategy.synchronized(), func(moved uint64) {
 		// moved is exact (the copy visited every live element), so it is
 		// the new generation's counter base; deltas still pending in
 		// handles were earned on src and flush (or drop) against src.c.
@@ -202,8 +180,6 @@ func (g *Grow) migrationTo(src, dst *Table) *migration {
 		trace.Emit(trace.KindMigFlip, moved, newGen, 0)
 		recordMigration(trigger, start, moved)
 	})
-	m.tx = g.tx
-	return m
 }
 
 // arm claims the migration slot for m, then re-validates that m.src is
@@ -400,34 +376,21 @@ func (h *growHandle) exit(flushed bool) {
 	}
 }
 
-// doInsert/doUpdate/doUpsert/doDelete dispatch between the atomic and the
-// transactional (TSX) code paths.
-func (h *growHandle) doInsert(t *Table, k, d uint64) opStatus {
-	if h.g.tx != nil {
-		return t.insertTSX(h.g.tx, k, d)
+// again is the tail every retry loop shares: an operation that did not
+// complete on t leaves the busy section, starts a migration if t was
+// (locally) full, joins whichever migration is running, and is retried by
+// its caller on the next generation. Any other status reaching here is one
+// the calling operation cannot return.
+func (h *growHandle) again(t *Table, st opStatus) {
+	h.exit(false)
+	switch st {
+	case statusMarked: // met a running migration's mark
+	case statusFull:
+		h.g.initiate(t)
+	default:
+		panic(fmt.Sprintf("core: cell operation returned status %d outside its contract", st))
 	}
-	return t.insertCore(k, d)
-}
-
-func (h *growHandle) doUpdate(t *Table, k, d uint64, up tables.UpdateFn) opStatus {
-	if h.g.tx != nil {
-		return t.updateTSX(h.g.tx, k, d, up)
-	}
-	return t.updateCore(k, d, up)
-}
-
-func (h *growHandle) doUpsert(t *Table, k, d uint64, up tables.UpdateFn) opStatus {
-	if h.g.tx != nil {
-		return t.insertOrUpdateTSX(h.g.tx, k, d, up)
-	}
-	return t.insertOrUpdateCore(k, d, up)
-}
-
-func (h *growHandle) doDelete(t *Table, k uint64) (uint64, opStatus) {
-	if h.g.tx != nil {
-		return t.deleteTSX(h.g.tx, k)
-	}
-	return t.deleteCore(k)
+	h.g.assist()
 }
 
 func (h *growHandle) Insert(k, d uint64) bool {
@@ -438,23 +401,15 @@ func (h *growHandle) Insert(k, d uint64) bool {
 		if !ok {
 			continue
 		}
-		switch h.doInsert(t, k, d) {
+		switch st := t.insertCore(k, d); st {
 		case statusInserted:
 			h.exit(h.bumpIns(t))
 			return true
 		case statusPresent:
 			h.exit(false)
 			return false
-		case statusMarked:
-			h.exit(false)
-			h.g.assist()
-		case statusFull:
-			h.exit(false)
-			h.g.initiate(t)
-			h.g.assist()
 		default:
-			h.exit(false)
-			panic("core: insert returned a status outside its contract")
+			h.again(t, st)
 		}
 	}
 }
@@ -466,19 +421,15 @@ func (h *growHandle) Update(k, d uint64, up tables.UpdateFn) bool {
 		if !ok {
 			continue
 		}
-		switch h.doUpdate(t, k, d, up) {
+		switch st := t.updateCore(k, d, up); st {
 		case statusUpdated:
 			h.exit(false)
 			return true
 		case statusAbsent:
 			h.exit(false)
 			return false
-		case statusMarked:
-			h.exit(false)
-			h.g.assist()
 		default:
-			h.exit(false)
-			panic("core: update returned a status outside its contract")
+			h.again(t, st)
 		}
 	}
 }
@@ -491,33 +442,28 @@ func (h *growHandle) InsertOrUpdate(k, d uint64, up tables.UpdateFn) bool {
 		if !ok {
 			continue
 		}
-		switch h.doUpsert(t, k, d, up) {
+		switch st := t.insertOrUpdateCore(k, d, up); st {
 		case statusInserted:
 			h.exit(h.bumpIns(t))
 			return true
 		case statusUpdated:
 			h.exit(false)
 			return false
-		case statusMarked:
-			h.exit(false)
-			h.g.assist()
-		case statusFull:
-			h.exit(false)
-			h.g.initiate(t)
-			h.g.assist()
 		default:
-			h.exit(false)
-			panic("core: upsert returned a status outside its contract")
+			h.again(t, st)
 		}
 	}
 }
 
 // InsertOrAdd is the aggregation fast path (tables.Adder). The
 // synchronized variants use a native fetch-and-add (updates and growing
-// cannot overlap, §5.3.2); the marking variants fall back to the CAS loop
-// because fetch-and-add cannot coexist with marker bits (§8.4 makes the
-// same distinction between usGrow and uaGrow).
+// cannot overlap, §5.3.2); the marking variants take the CAS loop because
+// fetch-and-add cannot coexist with marker bits (§8.4 makes the same
+// distinction between usGrow and uaGrow).
 func (h *growHandle) InsertOrAdd(k, d uint64) bool {
+	if !h.g.strategy.synchronized() {
+		return h.InsertOrUpdate(k, d, tables.AddFn)
+	}
 	checkKey(k)
 	checkValue(d)
 	for {
@@ -525,32 +471,15 @@ func (h *growHandle) InsertOrAdd(k, d uint64) bool {
 		if !ok {
 			continue
 		}
-		var st opStatus
-		switch {
-		case h.g.tx != nil:
-			st = t.insertOrUpdateTSX(h.g.tx, k, d, tables.AddFn)
-		case h.g.strategy.synchronized():
-			st = t.insertOrAddCore(k, d)
-		default:
-			st = t.insertOrUpdateCore(k, d, tables.AddFn)
-		}
-		switch st {
+		switch st := t.insertOrAddCore(k, d); st {
 		case statusInserted:
 			h.exit(h.bumpIns(t))
 			return true
 		case statusUpdated:
 			h.exit(false)
 			return false
-		case statusMarked:
-			h.exit(false)
-			h.g.assist()
-		case statusFull:
-			h.exit(false)
-			h.g.initiate(t)
-			h.g.assist()
 		default:
-			h.exit(false)
-			panic("core: insert-or-add returned a status outside its contract")
+			h.again(t, st)
 		}
 	}
 }
@@ -585,25 +514,15 @@ func (h *growHandle) CompareAndDelete(k, want uint64) bool {
 		if !ok {
 			continue
 		}
-		var st opStatus
-		if h.g.tx != nil {
-			st = t.compareAndDeleteTSX(h.g.tx, k, want)
-		} else {
-			st = t.compareAndDeleteCore(k, want)
-		}
-		switch st {
+		switch st := t.compareAndDeleteCore(k, want); st {
 		case statusUpdated:
 			h.exit(h.bumpDel(t))
 			return true
 		case statusAbsent, statusMismatch:
 			h.exit(false)
 			return false
-		case statusMarked:
-			h.exit(false)
-			h.g.assist()
 		default:
-			h.exit(false)
-			panic("core: compare-and-delete returned a status outside its contract")
+			h.again(t, st)
 		}
 	}
 }
@@ -618,20 +537,15 @@ func (h *growHandle) LoadAndDelete(k uint64) (uint64, bool) {
 		if !ok {
 			continue
 		}
-		v, st := h.doDelete(t, k)
-		switch st {
+		switch v, st := t.deleteCore(k); st {
 		case statusUpdated:
 			h.exit(h.bumpDel(t))
 			return v, true
 		case statusAbsent:
 			h.exit(false)
 			return 0, false
-		case statusMarked:
-			h.exit(false)
-			h.g.assist()
 		default:
-			h.exit(false)
-			panic("core: delete returned a status outside its contract")
+			h.again(t, st)
 		}
 	}
 }

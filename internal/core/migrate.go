@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/hashfn"
-	"repro/internal/htm"
 	"repro/internal/obs/trace"
 	"repro/internal/pad"
 )
@@ -34,10 +33,6 @@ type migration struct {
 	// so no late write can be lost. The synchronized variants (usGrow,
 	// psGrow) pass false: writers are excluded, no marking needed.
 	marking bool
-	// tx, when non-nil, serializes marking against the transactional
-	// writers of the TSX-instantiated tables (their bodies use plain
-	// stores, so the mark must be applied inside the same stripes).
-	tx *htm.TxRegion
 
 	nextBlock   pad.Uint64 // block dealer (fetch-and-add)
 	doneBlocks  pad.Uint64
@@ -171,30 +166,6 @@ func (m *migration) fallbackFullCopy() {
 // same cell; they all observe the same final state.
 func (m *migration) stabilize(i uint64) (key, val uint64, empty bool) {
 	src := m.src
-	if m.marking && m.tx != nil {
-		// Transactional tables: apply mark and freeze inside the cell's
-		// stripe so they cannot interleave with a transactional writer's
-		// plain stores. TSX writers never use the pending bit.
-		m.tx.Begin(i)
-		v := src.loadVal(i)
-		if v&markedBit == 0 {
-			src.storeVal(i, v|markedBit)
-		}
-		kw := src.loadKey(i)
-		if kw == 0 {
-			src.storeKey(i, frozenKey)
-			kw = frozenKey
-		}
-		val = src.loadVal(i)
-		m.tx.End(i)
-		if kw == frozenKey {
-			return 0, 0, true
-		}
-		if kw&pendingBit != 0 {
-			kw = src.waitKey(i)
-		}
-		return kw, val, false
-	}
 	if m.marking {
 		for {
 			v := src.loadVal(i)

@@ -3,19 +3,13 @@ package core
 import "repro/internal/tables"
 
 // init registers the paper's own tables in the capability registry
-// (Table 1 rows for the xyGrow family, folklore, and tsxfolklore).
+// (Table 1 rows for the xyGrow family and folklore).
 func init() {
 	tables.Register(tables.Capabilities{
 		Name: "folklore", Plot: "open circle", StdInterface: "handles",
 		Growing: "no", AtomicUpdates: "yes", Deletion: true,
 		GeneralTypes: false, Reference: "§4 bounded lock-free linear probing",
 	}, func(capacity uint64) tables.Interface { return NewFolkloreExact(2 * capacity) })
-
-	tables.Register(tables.Capabilities{
-		Name: "tsxfolklore", Plot: "open circle (tsx)", StdInterface: "handles",
-		Growing: "no", AtomicUpdates: "transactional", Deletion: true,
-		GeneralTypes: false, Reference: "§6 transaction-assisted folklore",
-	}, func(capacity uint64) tables.Interface { return NewTSXFolkloreExact(2 * capacity) })
 
 	for _, s := range []Strategy{UA, US, PA, PS} {
 		s := s
@@ -24,14 +18,6 @@ func init() {
 			Growing: "yes", AtomicUpdates: atomicCaps(s), Deletion: true,
 			GeneralTypes: false, Reference: "§5/§7 growing folklore (" + s.String() + ")",
 		}, func(capacity uint64) tables.Interface { return NewGrow(s, capacity) })
-	}
-	for _, s := range []Strategy{UA, US} {
-		s := s
-		tables.Register(tables.Capabilities{
-			Name: s.String() + "-tsx", Plot: "filled circle (tsx)", StdInterface: "handles",
-			Growing: "yes", AtomicUpdates: "transactional", Deletion: true,
-			GeneralTypes: false, Reference: "§6/§7 TSX-instantiated growing folklore",
-		}, func(capacity uint64) tables.Interface { return NewGrowTSX(s, capacity) })
 	}
 }
 

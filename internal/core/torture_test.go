@@ -265,23 +265,6 @@ func TestMigrationTortureGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestTSXMigrationTortureLinearizable covers the transactional write path
-// (plain stores inside stripes) against the same forced-migration churn.
-func TestTSXMigrationTortureLinearizable(t *testing.T) {
-	opsPerG := 400
-	if testing.Short() {
-		opsPerG = 120
-	}
-	for _, s := range []Strategy{UA, US} {
-		s := s
-		t.Run(s.String()+"-tsx", func(t *testing.T) {
-			g := NewGrowTSX(s, 8)
-			defer g.Close()
-			tortureLinearizable(t, g, 4, opsPerG, 16)
-		})
-	}
-}
-
 // TestShrinkPlacementReachability is the regression matrix for the
 // second lost-op bug this suite uncovered: phase 1 of the shrink
 // migration placed elements with a shared monotone cursor instead of

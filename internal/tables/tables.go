@@ -1,6 +1,6 @@
 // Package tables defines the common interface implemented by every hash
 // table in this repository — the paper's own variants (folklore, the four
-// xyGrow tables, tsxfolklore) and all reimplemented competitors — plus the
+// xyGrow tables) and all reimplemented competitors — plus the
 // capability registry behind Table 1 of the paper.
 //
 // The interface mirrors §4 of the paper:
@@ -62,8 +62,8 @@ type Adder interface {
 }
 
 // LoadDeleter is implemented by handles whose delete can report the
-// removed value atomically (the tombstoning CAS/transaction observes the
-// value word it clears). The typed facade's LoadAndDelete requires it —
+// removed value atomically (the tombstoning CAS observes the value word
+// it clears). The typed facade's LoadAndDelete requires it —
 // a find-then-delete emulation could return a value the delete never
 // removed.
 type LoadDeleter interface {
@@ -73,8 +73,8 @@ type LoadDeleter interface {
 }
 
 // CompareAndDeleter is implemented by handles whose delete can be
-// conditioned on the current value atomically (the tombstoning
-// CAS/transaction compares the value word it clears). The typed facade's
+// conditioned on the current value atomically (the tombstoning CAS
+// compares the value word it clears). The typed facade's
 // CompareAndDelete — and the cache layer's expiry/eviction races built
 // on it — require it: a find-then-delete emulation could remove a value
 // the comparison never saw.
