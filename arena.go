@@ -6,11 +6,11 @@ import (
 )
 
 // arena is the paged store behind both indirections of the typed facade:
-// the generic key route's chain entries (typed.go) and the codec's wide
-// values (codec.go). A slot is named by a 1-based reference (0 = none)
-// reserved with an atomic bump, so allocators meet only on the mutex that
-// builds a new page. Pages never move and slots are never handed out
-// twice, so a slot's address and meaning are stable.
+// the generic route's chain entries (typed.go) and the word route's
+// escaped 64-bit values (codec.go). A slot is named by a 1-based
+// reference (0 = none) reserved with an atomic bump, so allocators meet
+// only on the mutex that builds a new page. Pages never move and slots
+// are never handed out twice, so a slot's address and meaning are stable.
 //
 // A user that knows when a slot is no longer referenced gives it back
 // with release; a page whose every slot is back is retired: its directory

@@ -220,3 +220,61 @@ func BenchmarkSessionLoad(b *testing.B) {
 		return func(k string) uint64 { v, _ := s.Load(k); return v }, s.Close
 	})
 }
+
+// The four benchmarks below price the two routes an integer-keyed map can
+// take, on 2^16 warm keys through one Handle: uint64 → uint64 rides the
+// word route (the width codec of codec.go), uint64 → string the generic
+// route with the default integer hasher — no workload in benchmark/
+// reaches the second. "inorder" visits the keys in the order they were
+// inserted, which is the order of the generic route's arena entries and
+// boxed values; "scattered" in a pseudorandom one, a cache miss per hop.
+//
+//	go test -run '^$' -bench 'BenchmarkWord|BenchmarkIntKeyWide' -benchmem
+
+const benchWarmKeys = 1 << 16
+
+// benchWarm runs op over a handle of a map holding the warm keys, once
+// per key order.
+func benchWarm[V any](b *testing.B, val V, op func(h *growt.Handle[uint64, V], k uint64, i int)) {
+	for _, order := range []struct {
+		name string
+		key  func(i int) uint64
+	}{
+		{"inorder", func(i int) uint64 { return uint64(i) % benchWarmKeys }},
+		{"scattered", func(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 >> 48 }},
+	} {
+		b.Run(order.name, func(b *testing.B) {
+			m := growt.New[uint64, V]()
+			defer m.Close()
+			h := m.Handle()
+			for k := uint64(0); k < benchWarmKeys; k++ {
+				h.Insert(k, val)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(h, order.key(i), i)
+			}
+		})
+	}
+}
+
+func BenchmarkWordFind(b *testing.B) {
+	benchWarm(b, uint64(1), func(h *growt.Handle[uint64, uint64], k uint64, _ int) { h.Find(k) })
+}
+
+func BenchmarkWordStore(b *testing.B) {
+	benchWarm(b, uint64(1), func(h *growt.Handle[uint64, uint64], k uint64, i int) {
+		h.InsertOrUpdate(k, uint64(i), growt.Replace[uint64])
+	})
+}
+
+func BenchmarkIntKeyWideFind(b *testing.B) {
+	benchWarm(b, "value", func(h *growt.Handle[uint64, string], k uint64, _ int) { h.Find(k) })
+}
+
+func BenchmarkIntKeyWideStore(b *testing.B) {
+	benchWarm(b, "value", func(h *growt.Handle[uint64, string], k uint64, _ int) {
+		h.InsertOrUpdate(k, "other", growt.Replace[string])
+	})
+}

@@ -63,7 +63,7 @@ func TestCompareAndDeleteConformance(t *testing.T) {
 			func(i int) uint64 { return uint64(i) * 3 }, // includes key 0
 			func(i int) uint32 { return uint32(i) + 1 })
 	})
-	t.Run("word/arena-values", func(t *testing.T) {
+	t.Run("integer-key/string-values", func(t *testing.T) {
 		cadConformance(t, growt.New[int, string](),
 			func(i int) int { return i - 50 }, // negatives too
 			func(i int) string { return fmt.Sprintf("value-%d", i) })
@@ -111,6 +111,12 @@ func TestCompareAndDeleteExactlyOnce(t *testing.T) {
 		}
 	}
 	t.Run("word", func(t *testing.T) {
+		m := growt.New[uint64, uint64]()
+		defer m.Close()
+		run(t, func(r uint64) bool { return m.CompareAndDelete(r%17, r) },
+			func(r uint64) { m.Store(r%17, r) })
+	})
+	t.Run("integer-key", func(t *testing.T) {
 		m := growt.New[uint64, string]()
 		defer m.Close()
 		run(t, func(r uint64) bool { return m.CompareAndDelete(r%17, fmt.Sprint(r)) },

@@ -66,7 +66,6 @@ func main() {
 
 		defaultTTL = flag.Duration("default-ttl", 0, "TTL applied to SET/MSET entries (0 = immortal; SETEX always wins)")
 		maxEntries = flag.Uint64("max-entries", 0, "entry budget; beyond it writes evict sampled-LRU entries (0 = unbounded)")
-		maxBytes   = flag.Uint64("max-bytes", 0, "approximate memory budget, converted to an entry budget via the map's per-entry cost; tighter of -max-entries/-max-bytes wins (0 = unbounded)")
 		sweepEvery = flag.Duration("sweep-interval", 0, "background expiry sweep tick (0 = default 1s, negative = lazy expiry only)")
 	)
 	flag.Parse()
@@ -92,7 +91,6 @@ func main() {
 	opts = append(opts,
 		growt.WithTTL(*defaultTTL),
 		growt.WithMaxEntries(*maxEntries),
-		growt.WithMaxBytes(*maxBytes),
 		growt.WithSweepInterval(*sweepEvery),
 	)
 	st := server.NewStore(opts...)
@@ -184,11 +182,10 @@ func main() {
 	}()
 
 	serveLog := log.With("strategy", *strategy, "addr", ln.Addr().String())
-	if *defaultTTL > 0 || *maxEntries > 0 || *maxBytes > 0 {
+	if *defaultTTL > 0 || *maxEntries > 0 {
 		serveLog = serveLog.With(
 			"default_ttl", *defaultTTL,
 			"max_entries", *maxEntries,
-			"max_bytes", *maxBytes,
 		)
 	}
 	serveLog.Info("serving")

@@ -10,20 +10,21 @@ import (
 	"repro/internal/hashfn"
 )
 
-// This file is the codec layer of the typed facade: it maps arbitrary Go
-// key and value types onto the 63-bit-key / 62-bit-value word domain of
-// the core tables (§5.6/§5.7 "generalization to complex types").
+// This file is the codec layer of the typed facade: what maps Go key and
+// value types onto the 64-bit-key / 62-bit-value word domain of the core
+// tables behind the §5.6 full-key wrapper.
 //
-// Keys of built-in integer or bool type convert bijectively to uint64 and
-// ride the full-key wrapper (§5.6), so the entire value range of the Go
-// type is legal. Values of built-in integer or bool type are stored
-// directly when they fit 61 bits and escape into an indirection arena
-// otherwise; all other value types always live in the arena, with the
-// word cell holding the slot reference. Value slots are never given back:
-// a slot orphaned by an overwrite or a delete of a wide value stays until
-// the map itself is collected — the paper's deferral of complex-type
-// space reclamation (§5.7), and the one deferral left: the generic key
-// route of typed.go reclaims everything it allocates.
+// The built-in integer and bool types convert bijectively to a word — the
+// type's 1, 2, 4 or 8 bytes, zero-extended — so a map whose key and value
+// types are both among them stores its elements in the word cells
+// themselves (the word route of typed.go). A 64-bit value of magnitude
+// ≥ 2^61 (every negative included) does not fit the value domain and
+// escapes into an indirection arena whose slots are never given back: an
+// overwrite or a delete of such a value orphans one slot until the map
+// itself is collected — the paper's deferral of space reclamation
+// (§5.7), and the one left. Every other pair of types takes the generic
+// route, which reclaims all it allocates; its default hash functions are
+// at the bottom of this file.
 
 // directValMax is the largest value word stored inline; larger encodings
 // carry escapeBit plus an arena slot reference. Both fit the core's
@@ -33,189 +34,109 @@ const (
 	escapeBit    = uint64(1) << 61
 )
 
-// wordKeyCodec returns the bijection between K and uint64 for built-in
-// integer and bool key types. ok reports whether K takes the word route;
-// every other comparable type takes the generic route.
-//
-// The pointer puns are exact: each case fixes K's dynamic type, so &k
-// really addresses a value of the punned type.
-func wordKeyCodec[K comparable]() (enc func(K) uint64, dec func(uint64) K, ok bool) {
-	var zk K
-	switch any(zk).(type) {
-	case uint64:
-		return func(k K) uint64 { return *(*uint64)(unsafe.Pointer(&k)) },
-			func(w uint64) K { return *(*K)(unsafe.Pointer(&w)) }, true
-	case int64:
-		return func(k K) uint64 { return uint64(*(*int64)(unsafe.Pointer(&k))) },
-			func(w uint64) K { v := int64(w); return *(*K)(unsafe.Pointer(&v)) }, true
-	case int:
-		return func(k K) uint64 { return uint64(*(*int)(unsafe.Pointer(&k))) },
-			func(w uint64) K { v := int(w); return *(*K)(unsafe.Pointer(&v)) }, true
-	case uint:
-		return func(k K) uint64 { return uint64(*(*uint)(unsafe.Pointer(&k))) },
-			func(w uint64) K { v := uint(w); return *(*K)(unsafe.Pointer(&v)) }, true
-	case uintptr:
-		return func(k K) uint64 { return uint64(*(*uintptr)(unsafe.Pointer(&k))) },
-			func(w uint64) K { v := uintptr(w); return *(*K)(unsafe.Pointer(&v)) }, true
-	case uint32:
-		return func(k K) uint64 { return uint64(*(*uint32)(unsafe.Pointer(&k))) },
-			func(w uint64) K { v := uint32(w); return *(*K)(unsafe.Pointer(&v)) }, true
-	case int32:
-		return func(k K) uint64 { return uint64(uint32(*(*int32)(unsafe.Pointer(&k)))) },
-			func(w uint64) K { v := int32(uint32(w)); return *(*K)(unsafe.Pointer(&v)) }, true
-	case uint16:
-		return func(k K) uint64 { return uint64(*(*uint16)(unsafe.Pointer(&k))) },
-			func(w uint64) K { v := uint16(w); return *(*K)(unsafe.Pointer(&v)) }, true
-	case int16:
-		return func(k K) uint64 { return uint64(uint16(*(*int16)(unsafe.Pointer(&k)))) },
-			func(w uint64) K { v := int16(uint16(w)); return *(*K)(unsafe.Pointer(&v)) }, true
-	case uint8:
-		return func(k K) uint64 { return uint64(*(*uint8)(unsafe.Pointer(&k))) },
-			func(w uint64) K { v := uint8(w); return *(*K)(unsafe.Pointer(&v)) }, true
-	case int8:
-		return func(k K) uint64 { return uint64(uint8(*(*int8)(unsafe.Pointer(&k)))) },
-			func(w uint64) K { v := int8(uint8(w)); return *(*K)(unsafe.Pointer(&v)) }, true
-	case bool:
-		return func(k K) uint64 {
-				if *(*bool)(unsafe.Pointer(&k)) {
-					return 1
-				}
-				return 0
-			},
-			func(w uint64) K { v := w != 0; return *(*K)(unsafe.Pointer(&v)) }, true
+// wordWidth is T's size in bytes if T is a built-in integer or bool type
+// — the types toWord and fromWord convert — and 0 for every other type,
+// named integer types included.
+func wordWidth[T any]() uintptr {
+	var z T
+	switch any(z).(type) {
+	case uint64, int64, uint, int, uintptr, uint32, int32, uint16, int16, uint8, int8, bool:
+		return unsafe.Sizeof(z)
 	}
-	return nil, nil, false
+	return 0
 }
 
-// valCodec encodes values of type V into the core's 62-bit word domain
-// and back. tryEnc is the allocation-free attempt: it succeeds exactly
-// when enc would store inline, letting callers avoid orphaning an arena
-// slot on operations that may not end up storing the operand.
-//
-// slotBytes is the codec's static estimate of arena bytes per stored
-// value: zero for codecs that store (typically) inline, sizeof(V) for
-// arena-only wide values. WithMaxBytes converts its byte budget into an
-// entry budget with it.
+// toWord zero-extends the w bytes of v, w = wordWidth[T]() != 0: signed
+// types keep their bit pattern, true is 1. The pointer puns are exact: v
+// is an integer or bool of w bytes.
+func toWord[T any](v T, w uintptr) uint64 {
+	p := unsafe.Pointer(&v)
+	switch w {
+	case 1:
+		return uint64(*(*uint8)(p))
+	case 2:
+		return uint64(*(*uint16)(p))
+	case 4:
+		return uint64(*(*uint32)(p))
+	}
+	return *(*uint64)(p)
+}
+
+// fromWord is toWord's inverse: the low w bytes of x as a T.
+func fromWord[T any](x uint64, w uintptr) (v T) {
+	p := unsafe.Pointer(&v)
+	switch w {
+	case 1:
+		*(*uint8)(p) = uint8(x)
+	case 2:
+		*(*uint16)(p) = uint16(x)
+	case 4:
+		*(*uint32)(p) = uint32(x)
+	default:
+		*(*uint64)(p) = x
+	}
+	return v
+}
+
+// valCodec encodes word-route values of type V into the core's 62-bit
+// value domain and back: inline when the word fits 61 bits — always, for
+// the types narrower than 8 bytes — and as escapeBit plus a slot of ar
+// otherwise.
 type valCodec[V any] struct {
-	enc       func(V) uint64
-	dec       func(uint64) V
-	tryEnc    func(V) (uint64, bool)
-	slotBytes uint64
+	w  uintptr   // wordWidth[V]()
+	ar *arena[V] // of the 8-byte types' escaped values; nil for narrower V
 }
 
-// inlineCodec wraps an always-inline bijection (narrow integers, bool):
-// tryEnc never fails.
-func inlineCodec[V any](enc func(V) uint64, dec func(uint64) V) *valCodec[V] {
-	return &valCodec[V]{
-		enc: enc, dec: dec,
-		tryEnc: func(v V) (uint64, bool) { return enc(v), true },
+// valCodecFor builds the codec of a V that is w = wordWidth[V]() bytes wide.
+func valCodecFor[V any](w uintptr) valCodec[V] {
+	c := valCodec[V]{w: w}
+	if w == 8 {
+		c.ar = newArena[V]()
 	}
+	return c
 }
 
-// newValCodec builds the value codec for V: narrow integers and bool are
-// always inline, 64-bit integers are inline with an arena escape for
-// magnitudes ≥ 2^61 (including all negatives), and every other type is
-// arena-only.
-func newValCodec[V any]() *valCodec[V] {
-	var zv V
-	switch any(zv).(type) {
-	case uint32:
-		return inlineCodec[V](
-			func(v V) uint64 { return uint64(*(*uint32)(unsafe.Pointer(&v))) },
-			func(w uint64) V { v := uint32(w); return *(*V)(unsafe.Pointer(&v)) })
-	case int32:
-		return inlineCodec[V](
-			func(v V) uint64 { return uint64(uint32(*(*int32)(unsafe.Pointer(&v)))) },
-			func(w uint64) V { v := int32(uint32(w)); return *(*V)(unsafe.Pointer(&v)) })
-	case uint16:
-		return inlineCodec[V](
-			func(v V) uint64 { return uint64(*(*uint16)(unsafe.Pointer(&v))) },
-			func(w uint64) V { v := uint16(w); return *(*V)(unsafe.Pointer(&v)) })
-	case int16:
-		return inlineCodec[V](
-			func(v V) uint64 { return uint64(uint16(*(*int16)(unsafe.Pointer(&v)))) },
-			func(w uint64) V { v := int16(uint16(w)); return *(*V)(unsafe.Pointer(&v)) })
-	case uint8:
-		return inlineCodec[V](
-			func(v V) uint64 { return uint64(*(*uint8)(unsafe.Pointer(&v))) },
-			func(w uint64) V { v := uint8(w); return *(*V)(unsafe.Pointer(&v)) })
-	case int8:
-		return inlineCodec[V](
-			func(v V) uint64 { return uint64(uint8(*(*int8)(unsafe.Pointer(&v)))) },
-			func(w uint64) V { v := int8(uint8(w)); return *(*V)(unsafe.Pointer(&v)) })
-	case bool:
-		return inlineCodec[V](
-			func(v V) uint64 {
-				if *(*bool)(unsafe.Pointer(&v)) {
-					return 1
-				}
-				return 0
-			},
-			func(w uint64) V { v := w != 0; return *(*V)(unsafe.Pointer(&v)) })
-	case uint64:
-		return escapingCodec[V](func(v V) uint64 { return *(*uint64)(unsafe.Pointer(&v)) },
-			func(w uint64) V { return *(*V)(unsafe.Pointer(&w)) })
-	case int64:
-		return escapingCodec[V](func(v V) uint64 { return uint64(*(*int64)(unsafe.Pointer(&v))) },
-			func(w uint64) V { v := int64(w); return *(*V)(unsafe.Pointer(&v)) })
-	case int:
-		return escapingCodec[V](func(v V) uint64 { return uint64(*(*int)(unsafe.Pointer(&v))) },
-			func(w uint64) V { v := int(w); return *(*V)(unsafe.Pointer(&v)) })
-	case uint:
-		return escapingCodec[V](func(v V) uint64 { return uint64(*(*uint)(unsafe.Pointer(&v))) },
-			func(w uint64) V { v := uint(w); return *(*V)(unsafe.Pointer(&v)) })
-	case uintptr:
-		return escapingCodec[V](func(v V) uint64 { return uint64(*(*uintptr)(unsafe.Pointer(&v))) },
-			func(w uint64) V { v := uintptr(w); return *(*V)(unsafe.Pointer(&v)) })
-	}
-	// Wide values: every value lives in the arena, the word is the slot.
-	ar := newArena[V]()
-	return &valCodec[V]{
-		enc:       ar.put,
-		dec:       func(w uint64) V { return *ar.get(w) },
-		tryEnc:    func(V) (uint64, bool) { return 0, false },
-		slotBytes: uint64(unsafe.Sizeof(zv)),
-	}
+// tryEnc is the allocation-free attempt: it succeeds exactly when enc
+// would store inline, letting callers avoid orphaning an arena slot on
+// operations that may not end up storing the operand.
+func (c *valCodec[V]) tryEnc(v V) (uint64, bool) {
+	x := toWord(v, c.w)
+	return x, x <= directValMax
 }
 
-// escapingCodec wraps a 64-bit integer bijection with the inline/arena
-// split: words ≤ directValMax store inline, everything else (large
-// magnitudes, negatives) escapes to a slot.
-func escapingCodec[V any](toWord func(V) uint64, fromWord func(uint64) V) *valCodec[V] {
-	ar := newArena[V]()
-	return &valCodec[V]{
-		enc: func(v V) uint64 {
-			if w := toWord(v); w <= directValMax {
-				return w
-			}
-			return escapeBit | ar.put(v)
-		},
-		dec: func(w uint64) V {
-			if w <= directValMax {
-				return fromWord(w)
-			}
-			return *ar.get(w &^ escapeBit)
-		},
-		tryEnc: func(v V) (uint64, bool) {
-			w := toWord(v)
-			return w, w <= directValMax
-		},
+func (c *valCodec[V]) enc(v V) uint64 {
+	if x, inline := c.tryEnc(v); inline {
+		return x
 	}
+	return escapeBit | c.ar.put(v)
 }
 
-// defaultHasher builds the 64-bit hash for generic-route keys. Floats and
-// string-kinded keys (string itself and named string types) get
-// dedicated unsafe fast paths with no reflection and no allocation;
-// everything else is canonicalized by a reflect walk into a seeded
-// maphash. The walk respects ==-equality
+func (c *valCodec[V]) dec(x uint64) V {
+	if x <= directValMax {
+		return fromWord[V](x, c.w)
+	}
+	return *c.ar.get(x &^ escapeBit)
+}
+
+// defaultHasher builds the 64-bit hash for generic-route keys. Built-in
+// integer and bool keys (an integer-keyed map with wide values), float
+// and string kinds (named types included) get dedicated unsafe fast paths
+// with no reflection and no allocation; everything else is canonicalized
+// by a reflect walk into a seeded maphash. The walk respects ==-equality
 // (±0.0 hash alike, pointers/channels hash by identity), so two keys
 // that compare equal always hash equal. Collisions between distinct
 // keys are resolved by comparing stored keys, so hash quality affects
 // only speed — supply WithHasher for hot generic-keyed maps.
+//
+// The pointer puns are exact: each case fixes K's underlying type, so &k
+// really addresses a value of the punned type.
 func defaultHasher[K comparable]() func(K) uint64 {
-	var zk K
-	switch any(zk).(type) {
-	case float64:
+	if w := wordWidth[K](); w != 0 {
+		return func(k K) uint64 { return hashfn.Hash64(toWord(k, w)) }
+	}
+	seed := maphash.MakeSeed()
+	switch reflect.TypeOf((*K)(nil)).Elem().Kind() {
+	case reflect.Float64:
 		return func(k K) uint64 {
 			f := *(*float64)(unsafe.Pointer(&k))
 			if f == 0 {
@@ -223,7 +144,7 @@ func defaultHasher[K comparable]() func(K) uint64 {
 			}
 			return hashfn.Hash64(math.Float64bits(f))
 		}
-	case float32:
+	case reflect.Float32:
 		return func(k K) uint64 {
 			f := *(*float32)(unsafe.Pointer(&k))
 			if f == 0 {
@@ -231,10 +152,7 @@ func defaultHasher[K comparable]() func(K) uint64 {
 			}
 			return hashfn.Hash64(uint64(math.Float32bits(f)))
 		}
-	}
-	seed := maphash.MakeSeed()
-	if reflect.TypeOf((*K)(nil)).Elem().Kind() == reflect.String {
-		// K's underlying type is string, so &k addresses a string header.
+	case reflect.String:
 		return func(k K) uint64 { return maphash.String(seed, *(*string)(unsafe.Pointer(&k))) }
 	}
 	return func(k K) uint64 {

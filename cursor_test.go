@@ -78,7 +78,7 @@ func TestCursorExactlyOnceWordRoute(t *testing.T) {
 	// The §5.6 special keys live in FullKeys' third walk phase: cover
 	// the segment boundaries too.
 	keys[0] = 1000
-	keys[growt.MaxKey+1] = 1001
+	keys[1<<63-1] = 1001
 	checkExactlyOnce(t, m, keys)
 }
 

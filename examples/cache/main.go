@@ -13,6 +13,10 @@
 //     10× larger (sampled LRU keeps the hot set, evicts the cold tail);
 //   - expired counts ticking up as TTLs lapse and the sweeper collects.
 //
+// The budget bounds memory as well as entries: under uint64 keys as under
+// any others, what an expired or evicted entry held goes back to the
+// collector and the table.
+//
 // The same facade — same options, same semantics — is what `growd
 // -default-ttl -max-entries` serves over TCP (docs/PROTOCOL.md).
 package main

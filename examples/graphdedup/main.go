@@ -7,7 +7,7 @@
 // and parent map.
 //
 // The typed facade routes uint64 keys through the §5.6 full-key wrapper,
-// so node id 0 is a legal key — the word-sized layer's "+1 to dodge the
+// so node id 0 is a legal key — the core tables' "+1 to dodge the
 // reserved empty key" dance is gone.
 package main
 

@@ -15,7 +15,7 @@ func main() {
 	// A growing table (uaGrow, the paper's headline variant). It starts
 	// tiny and doubles itself via scalable cluster migration as needed.
 	// Integer keys route through the §5.6 full-key wrapper, so the whole
-	// uint64 range is legal — including 0, unlike the word-sized layer.
+	// uint64 range is legal — including 0, which the core tables reserve.
 	m := growt.New[uint64, uint64]()
 	defer m.Close()
 

@@ -240,3 +240,48 @@ func stressHandleFree(t *testing.T, m *Map[string, uint64]) {
 		t.Errorf("%d goroutines made %d handles", goroutines, made)
 	}
 }
+
+// onWordRoute reports whether New puts the pair ⟨K, V⟩ on the word route;
+// the generic route is the only other one.
+func onWordRoute[K comparable, V any]() bool {
+	m := New[K, V]()
+	defer m.Close()
+	_, word := m.b.(*wordBackend[K, V])
+	return word
+}
+
+// TestRouting: the word route is for pairs of built-in integer or bool
+// types; a wide value or any other key type takes the generic route, the
+// one home of everything that is not a word.
+func TestRouting(t *testing.T) {
+	type nodeID uint64
+	for _, c := range []struct {
+		pair       string
+		word, want bool
+	}{
+		{"uint64, uint64", onWordRoute[uint64, uint64](), true},
+		{"int32, int16", onWordRoute[int32, int16](), true},
+		{"bool, int", onWordRoute[bool, int](), true},
+		{"uintptr, uint8", onWordRoute[uintptr, uint8](), true},
+		{"uint64, string", onWordRoute[uint64, string](), false},
+		{"uint64, []byte", onWordRoute[uint64, []byte](), false},
+		{"int, struct{}", onWordRoute[int, struct{}](), false},
+		{"uint64, float64", onWordRoute[uint64, float64](), false},
+		{"uint64, *int", onWordRoute[uint64, *int](), false},
+		{"string, uint64", onWordRoute[string, uint64](), false},
+		{"nodeID, uint64", onWordRoute[nodeID, uint64](), false},
+	} {
+		if c.word != c.want {
+			t.Errorf("New[%s] on the word route: %v, want %v", c.pair, c.word, c.want)
+		}
+	}
+}
+
+// TestWithBoundedZero: no expectation given means 2^20 elements.
+func TestWithBoundedZero(t *testing.T) {
+	var c config
+	WithBounded(0)(&c)
+	if !c.bounded || c.expected != 1<<20 {
+		t.Fatalf("WithBounded(0): bounded=%v expected=%d, want true and 2^20", c.bounded, c.expected)
+	}
+}

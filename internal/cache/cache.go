@@ -34,27 +34,19 @@
 // for concurrent use; the Cache itself is.
 //
 // The cache shares the root package's functional-option vocabulary:
-// WithTTL, WithMaxEntries, WithMaxBytes, and WithSweepInterval
+// WithTTL, WithMaxEntries, and WithSweepInterval
 // configure this layer, and every other option (WithStrategy,
 // WithCapacity, WithHasher, ...) passes through to the
 // underlying growt.New.
 //
 // # Costs and deferrals
 //
-// MaxEntries bounds the live ENTRY count; MaxBytes is an approximate
-// byte bound, converted to an entry budget by dividing through the
-// map's static per-entry cost estimate (growt.Map.EntryBytes — cell
-// words plus codec arena knowledge), so it inherits the entry budget's
-// enforcement exactly and its precision is that of the estimate. On the
-// generic key route (strings, structs, named types — the route growd's
-// byte-string keys take) an evicted or expired entry gives everything
-// back — value and key to the GC, hash cell to the core's next cleanup
-// migration, chain entry to an arena page released when all its entries
-// are — so memory follows the budget however many keys pass through. On
-// the word key route (built-in integer and bool keys) wide values live in
-// the codec's arena, whose slots are reclaimed only when the map itself
-// is collected (the paper's §5.7 deferral, the one left) — a churn-heavy
-// bounded cache over that route trades memory growth for lock freedom. The sweeper visits at most its
+// MaxEntries bounds the live ENTRY count. The stored value is a pointer
+// to an item, so a cache is on the map's generic route whatever its key
+// type: an evicted or expired entry gives everything back — value and key
+// to the GC, hash cell to the core's next cleanup migration, chain entry
+// to an arena page released when all its entries are — so memory follows
+// the budget however many keys pass through. The sweeper visits at most its
 // batch of entries per tick and resumes where it stopped; a cursor
 // invalidated by a table migration restarts from the front, so a cycle
 // spanning a migration may re-visit entries (never skip stable ones).
@@ -132,10 +124,6 @@ type Cache[K comparable, V any] struct {
 	m   *growt.Map[K, *item[V]]
 	set growt.CacheSettings
 
-	// budget is the effective entry budget: MaxEntries and the
-	// entry-ized MaxBytes, whichever is tighter (0 = unbounded).
-	budget uint64
-
 	now func() int64 // clock, unix nanos; swappable for deterministic tests
 
 	// ring is the eviction sample pool: a lock-free buffer of recently
@@ -179,23 +167,9 @@ func newCache[K comparable, V any](now func() int64, opts ...growt.Option) *Cach
 		set: growt.ResolveCacheSettings(opts...),
 		now: now,
 	}
-	c.budget = c.set.MaxEntries
-	if c.set.MaxBytes > 0 {
-		per := c.m.EntryBytes()
-		if per == 0 {
-			per = 1
-		}
-		byBytes := c.set.MaxBytes / per
-		if byBytes == 0 {
-			byBytes = 1 // a nonzero byte budget must still bound the cache
-		}
-		if c.budget == 0 || byBytes < c.budget {
-			c.budget = byBytes
-		}
-	}
-	if c.budget > 0 {
+	if c.set.MaxEntries > 0 {
 		size := uint64(minRing)
-		for size < c.budget && size < maxRing {
+		for size < c.set.MaxEntries && size < maxRing {
 			size <<= 1
 		}
 		c.ring = make([]atomic.Pointer[K], size)
@@ -243,8 +217,8 @@ func (c *Cache[K, V]) Stats() Stats {
 // growt.Map.PoolBorrows); tests use it to assert session discipline.
 func (c *Cache[K, V]) PoolBorrows() uint64 { return c.m.PoolBorrows() }
 
-// Len estimates the number of stored entries (live + not-yet-collected
-// expired), via the map's §5.2 size estimator.
+// Len is the number of stored entries (live + not-yet-collected
+// expired): the generic route's exact count.
 func (c *Cache[K, V]) Len() uint64 { return c.m.ApproxSize() }
 
 // Generation returns the underlying map's completed-migration count
@@ -393,10 +367,10 @@ func (c *Cache[K, V]) compareAndSwap(v view[K, V], k K, old, new V) (swapped, fo
 	_ = any(old) == any(old) // documented uncomparable-value panic
 	now := c.now()
 	// Steady-refusal fast path: decide absent/expired/mismatch from a
-	// plain read before touching Update. On the word route a closure
-	// that returns cur unchanged is still re-encoded by the backend — one
-	// arena slot per refusal — so a hot mismatch loop must not reach the
-	// closure at all. The authoritative verdict for a
+	// plain read before touching Update. An Update whose closure returns
+	// cur unchanged still boxes that value and CASes the entry's pointer
+	// — an allocation and a write per refusal — so a hot mismatch loop
+	// must not reach the closure at all. The authoritative verdict for a
 	// *successful* swap remains the Update CAS below.
 	it, ok := v.Load(k)
 	if !ok {
@@ -482,7 +456,8 @@ func (c *Cache[K, V]) Expire(k K, ttl time.Duration) bool { return c.expire(c.m,
 func (c *Cache[K, V]) expire(v view[K, V], k K, ttl time.Duration) bool {
 	now := c.now()
 	// Same steady-refusal fast path as CompareAndSwap: absent and
-	// expired keys must not reach the re-encoding Update closure.
+	// expired keys must not reach Update, which boxes and writes even
+	// what its closure returns unchanged.
 	it, ok := v.Load(k)
 	if !ok {
 		return false
@@ -576,7 +551,7 @@ func (c *Cache[K, V]) noteWrite(v view[K, V], k K, now int64) {
 // entry budget, bounded per call so a single write never stalls on a
 // long purge (the sweeper keeps enforcing in the background).
 func (c *Cache[K, V]) enforceBudget(v view[K, V], now int64) {
-	max := c.budget
+	max := c.set.MaxEntries
 	if max == 0 {
 		return
 	}
@@ -769,7 +744,7 @@ func (s *Session[K, V]) TTL(k K) (d time.Duration, ok bool) { return s.c.ttl(s.v
 // Delete removes k (see Cache.Delete).
 func (s *Session[K, V]) Delete(k K) bool { return s.c.del(s.v, k) }
 
-// Len reports the cache's approximate live element count (see
-// Cache.Len). Size estimation is handle-free, so this neither uses nor
-// needs the session's pinned handle.
+// Len reports the cache's stored entry count (see Cache.Len). The count
+// is handle-free, so this neither uses nor needs the session's pinned
+// handle.
 func (s *Session[K, V]) Len() uint64 { return s.c.Len() }

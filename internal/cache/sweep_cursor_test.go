@@ -115,37 +115,6 @@ func TestStaleSweepCADThroughCursor(t *testing.T) {
 	}
 }
 
-// TestMaxBytesBudget: a byte budget converts to an entry budget via the
-// map's per-entry estimate and bounds the cache exactly like
-// MaxEntries; when both are set the tighter wins.
-func TestMaxBytesBudget(t *testing.T) {
-	clk := newFakeClock()
-	probe := growt.New[evKey, *item[string]]()
-	per := probe.EntryBytes()
-	probe.Close()
-	if per == 0 {
-		t.Fatal("generic route reported zero entry bytes")
-	}
-	const want = 64
-	c := newTestCache[evKey, string](clk,
-		growt.WithMaxBytes(want*per),
-		growt.WithMaxEntries(100000)) // looser than the byte budget: bytes must win
-	defer c.Close()
-	if c.budget != want {
-		t.Fatalf("effective budget = %d, want %d (MaxBytes/EntryBytes)", c.budget, want)
-	}
-
-	for i := evKey(0); i < 8*want; i++ {
-		c.SetTTL(i, "v", 0)
-	}
-	if size := c.Len(); size > want+maxEvictPerWrite {
-		t.Fatalf("size %d blew the byte-derived budget %d", size, want)
-	}
-	if st := c.Stats(); st.Evicted == 0 {
-		t.Fatal("no evictions under the byte budget")
-	}
-}
-
 // TestSessionMirrorsCache: the pinned-handle Session supports the whole
 // cache surface with identical semantics, and its ops cost zero pool
 // borrows.

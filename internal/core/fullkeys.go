@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -28,6 +29,9 @@ type FullKeys struct {
 }
 
 // NewFullKeys wraps a pair of tables built by mk (one per key half-space).
+// Their handles must be a tables.CompareAndDeleter and a
+// tables.LoadDeleter, as those of every table in this package are:
+// Handle panics otherwise.
 func NewFullKeys(mk func() tables.Interface) *FullKeys {
 	return &FullKeys{t0: mk(), t1: mk(), special: make(map[uint64]uint64, 4)}
 }
@@ -62,7 +66,24 @@ func (f *FullKeys) Generation() uint64 {
 
 // Handle returns a goroutine-private accessor.
 func (f *FullKeys) Handle() tables.Handle {
-	return &fullKeysHandle{f: f, h0: f.t0.Handle(), h1: f.t1.Handle()}
+	return &fullKeysHandle{f: f, h0: subHandleOf(f.t0), h1: subHandleOf(f.t1)}
+}
+
+// subHandle is what FullKeys needs of a subtable's handle: the wrapper's
+// conditional and value-reporting deletes are atomic only as the
+// subtable's own.
+type subHandle interface {
+	tables.Handle
+	tables.CompareAndDeleter
+	tables.LoadDeleter
+}
+
+func subHandleOf(t tables.Interface) subHandle {
+	h, ok := t.Handle().(subHandle)
+	if !ok {
+		panic(fmt.Sprintf("core: FullKeys over %T, whose handles are not a tables.CompareAndDeleter and a tables.LoadDeleter", t))
+	}
+	return h
 }
 
 var _ tables.Interface = (*FullKeys)(nil)
@@ -220,10 +241,10 @@ func (f *FullKeys) Close() {
 
 type fullKeysHandle struct {
 	f      *FullKeys
-	h0, h1 tables.Handle
+	h0, h1 subHandle
 }
 
-func (h *fullKeysHandle) sub(hi bool) tables.Handle {
+func (h *fullKeysHandle) sub(hi bool) subHandle {
 	if hi {
 		return h.h1
 	}
@@ -299,11 +320,7 @@ func (h *fullKeysHandle) Delete(k uint64) bool {
 	return h.sub(hi).Delete(core)
 }
 
-// CompareAndDelete implements tables.CompareAndDeleter. Every core
-// handle a FullKeys wraps in this repository is a CompareAndDeleter; for
-// a foreign subtable without the capability it falls back to
-// find-then-delete, which can delete a value the comparison never saw
-// against a concurrent overwrite.
+// CompareAndDelete implements tables.CompareAndDeleter.
 func (h *fullKeysHandle) CompareAndDelete(k, want uint64) bool {
 	hi, core, special := split(k)
 	if special {
@@ -315,25 +332,10 @@ func (h *fullKeysHandle) CompareAndDelete(k, want uint64) bool {
 		}
 		return false
 	}
-	sub := h.sub(hi)
-	if cd, ok := sub.(tables.CompareAndDeleter); ok {
-		return cd.CompareAndDelete(core, want)
-	}
-	for {
-		v, ok := sub.Find(core)
-		if !ok || v != want {
-			return false
-		}
-		if sub.Delete(core) {
-			return true
-		}
-	}
+	return h.sub(hi).CompareAndDelete(core, want)
 }
 
-// LoadAndDelete implements tables.LoadDeleter. Every core handle a
-// FullKeys wraps in this repository is a LoadDeleter; for a foreign
-// subtable without the capability it falls back to find-then-delete,
-// which can misreport the value against a concurrent overwrite.
+// LoadAndDelete implements tables.LoadDeleter.
 func (h *fullKeysHandle) LoadAndDelete(k uint64) (uint64, bool) {
 	hi, core, special := split(k)
 	if special {
@@ -345,17 +347,5 @@ func (h *fullKeysHandle) LoadAndDelete(k uint64) (uint64, bool) {
 		}
 		return v, ok
 	}
-	sub := h.sub(hi)
-	if ld, ok := sub.(tables.LoadDeleter); ok {
-		return ld.LoadAndDelete(core)
-	}
-	for {
-		v, ok := sub.Find(core)
-		if !ok {
-			return 0, false
-		}
-		if sub.Delete(core) {
-			return v, true
-		}
-	}
+	return h.sub(hi).LoadAndDelete(core)
 }

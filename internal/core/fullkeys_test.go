@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -128,4 +129,27 @@ func TestFullKeysQuickModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bareTable is a table whose handles are a tables.Handle and nothing
+// more: no atomic conditional or value-reporting delete.
+type bareTable struct{}
+
+type bareHandle struct{ tables.Handle }
+
+func (bareTable) Handle() tables.Handle { return bareHandle{} }
+
+// TestFullKeysRefusesBareSubtable: the wrapper's CompareAndDelete and
+// LoadAndDelete are atomic only as its subtables' own, so a subtable
+// without them is refused outright, by name, and not emulated with a
+// find-then-delete.
+func TestFullKeysRefusesBareSubtable(t *testing.T) {
+	f := NewFullKeys(func() tables.Interface { return bareTable{} })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "core.bareTable") {
+			t.Fatalf("Handle over a table without CompareAndDelete and LoadAndDelete: recovered %q, want a panic naming core.bareTable", msg)
+		}
+	}()
+	f.Handle()
 }

@@ -13,28 +13,41 @@ import (
 
 // facadeOps is what a worker of facadeLinearizable drives: *growt.Handle
 // as it is, and the handle-free Map through mapOps.
-type facadeOps[K comparable] interface {
-	Insert(k K, v uint64) bool
-	Update(k K, d uint64, up func(cur, d uint64) uint64) bool
-	InsertOrUpdate(k K, d uint64, up func(cur, d uint64) uint64) bool
-	Find(k K) (uint64, bool)
+type facadeOps[K comparable, V any] interface {
+	Insert(k K, v V) bool
+	Update(k K, d V, up func(cur, d V) V) bool
+	InsertOrUpdate(k K, d V, up func(cur, d V) V) bool
+	Find(k K) (V, bool)
 	Delete(k K) bool
-	LoadAndDelete(k K) (uint64, bool)
-	CompareAndDelete(k K, old uint64) bool
+	LoadAndDelete(k K) (V, bool)
+	CompareAndDelete(k K, old V) bool
 }
 
 // mapOps spells the handle's primitives with the handle-free methods, so
 // that every operation of its worker borrows and gives back a handle.
-type mapOps[K comparable] struct{ *growt.Map[K, uint64] }
+type mapOps[K comparable, V any] struct{ *growt.Map[K, V] }
 
-func (m mapOps[K]) Insert(k K, v uint64) bool {
+func (m mapOps[K, V]) Insert(k K, v V) bool {
 	_, loaded := m.LoadOrStore(k, v)
 	return !loaded
 }
-func (m mapOps[K]) InsertOrUpdate(k K, d uint64, up func(cur, d uint64) uint64) bool {
+func (m mapOps[K, V]) InsertOrUpdate(k K, d V, up func(cur, d V) V) bool {
 	return m.Compute(k, d, up)
 }
-func (m mapOps[K]) Find(k K) (uint64, bool) { return m.Load(k) }
+func (m mapOps[K, V]) Find(k K) (V, bool) { return m.Load(k) }
+
+// wordCodec names the checker's word-sized keys and values in a map's own
+// types, and reads a value back into a word (0 for the zero value a miss
+// returns).
+type wordCodec[K comparable, V any] struct {
+	key   func(uint64) K
+	val   func(uint64) V
+	unval func(V) uint64
+}
+
+func ident(x uint64) uint64     { return x }
+func decimal(x uint64) string   { return strconv.FormatUint(x, 10) }
+func undecimal(s string) uint64 { x, _ := strconv.ParseUint(s, 10, 64); return x }
 
 // facadeLinearizable records histories on a small set of contended keys
 // through growt.Map — odd workers through a handle of their own, even ones
@@ -53,8 +66,9 @@ func (m mapOps[K]) Find(k K) (uint64, bool) { return m.Load(k) }
 // while the tombstones this leaves in the core keep cleanup migrations
 // running underneath. wantDrops demands that at least one chain drop was
 // observed.
-func facadeLinearizable[K comparable](t *testing.T, m *growt.Map[K, uint64], key func(uint64) K, deleteHeavy, wantDrops bool) {
+func facadeLinearizable[K comparable, V any](t *testing.T, m *growt.Map[K, V], c wordCodec[K, V], deleteHeavy, wantDrops bool) {
 	t.Helper()
+	key, val := c.key, c.val
 	defer m.Close()
 	const workers = 6
 	// Both key sets include 0: the full-key wrapper's special slot on the
@@ -74,16 +88,16 @@ func facadeLinearizable[K comparable](t *testing.T, m *growt.Map[K, uint64], key
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var h facadeOps[K] = m.Handle()
+			var h facadeOps[K, V] = m.Handle()
 			if w%2 == 0 {
-				h = mapOps[K]{m}
+				h = mapOps[K, V]{m}
 			}
 			r := hist.Recorder()
 			rnd := rand.New(rand.NewSource(int64(w*7919 + 13)))
 			filler := uint64(w+1) << 32
 			for n := 0; n < opsPerG; n++ {
 				filler++
-				h.Insert(key(filler), filler)
+				h.Insert(key(filler), val(filler))
 				if deleteHeavy && n >= 4 {
 					h.Delete(key(filler - 4))
 				}
@@ -93,27 +107,27 @@ func facadeLinearizable[K comparable](t *testing.T, m *growt.Map[K, uint64], key
 				switch rnd.Intn(kinds) {
 				case 0, 5:
 					i := r.Invoke(linearize.OpInsert, ck, v)
-					r.Return(i, 0, h.Insert(k, v))
+					r.Return(i, 0, h.Insert(k, val(v)))
 				case 1, 6:
 					i := r.Invoke(linearize.OpDelete, ck, 0)
 					r.Return(i, 0, h.Delete(k))
 				case 2:
 					i := r.Invoke(linearize.OpUpdate, ck, v)
-					r.Return(i, 0, h.Update(k, v, growt.Replace[uint64]))
+					r.Return(i, 0, h.Update(k, val(v), growt.Replace[V]))
 				case 3, 7:
 					i := r.Invoke(linearize.OpUpsert, ck, v)
-					r.Return(i, 0, h.InsertOrUpdate(k, v, growt.Replace[uint64]))
+					r.Return(i, 0, h.InsertOrUpdate(k, val(v), growt.Replace[V]))
 				case 4:
 					i := r.Invoke(linearize.OpFind, ck, 0)
 					out, ok := h.Find(k)
-					r.Return(i, out, ok)
+					r.Return(i, c.unval(out), ok)
 				case 8:
 					i := r.Invoke(linearize.OpLoadAndDelete, ck, 0)
 					out, ok := h.LoadAndDelete(k)
-					r.Return(i, out, ok)
+					r.Return(i, c.unval(out), ok)
 				case 9:
 					i := r.Invoke(linearize.OpCompareAndDelete, ck, v)
-					r.Return(i, 0, h.CompareAndDelete(k, v))
+					r.Return(i, 0, h.CompareAndDelete(k, val(v)))
 				}
 			}
 		}(w)
@@ -131,10 +145,11 @@ func facadeLinearizable[K comparable](t *testing.T, m *growt.Map[K, uint64], key
 }
 
 // TestFacadeLinearizable lifts the core's linearizability check one layer,
-// to growt.Map on both key routes, from an 8-cell table: the plain history
+// to growt.Map on both routes, from an 8-cell table: the plain history
 // under growth, the delete-heavy one under reclamation.
 func TestFacadeLinearizable(t *testing.T) {
-	strKey := func(k uint64) string { return strconv.FormatUint(k, 10) }
+	word := wordCodec[uint64, uint64]{ident, ident, ident}
+	strKey := wordCodec[string, uint64]{decimal, ident, ident}
 	// The contended keys (at most two digits) share four hash values, so
 	// their inserts, deaths, re-inserts and finds race on collision chains
 	// that only drop when a whole bucket is dead; the filler keys hash
@@ -153,8 +168,11 @@ func TestFacadeLinearizable(t *testing.T) {
 			name = "delete-heavy"
 		}
 		t.Run(name+"/word", func(t *testing.T) {
-			facadeLinearizable(t, growt.New[uint64, uint64](growt.WithCapacity(8)),
-				func(k uint64) uint64 { return k }, heavy, false)
+			facadeLinearizable(t, growt.New[uint64, uint64](growt.WithCapacity(8)), word, heavy, false)
+		})
+		t.Run(name+"/generic-uint64-string", func(t *testing.T) { // default integer hasher
+			facadeLinearizable(t, growt.New[uint64, string](growt.WithCapacity(8)),
+				wordCodec[uint64, string]{ident, decimal, undecimal}, heavy, true)
 		})
 		t.Run(name+"/generic-string", func(t *testing.T) {
 			facadeLinearizable(t, growt.New[string, uint64](growt.WithCapacity(8)), strKey, heavy, true)

@@ -41,9 +41,13 @@ func WithCapacity(cells uint64) Option {
 }
 
 // WithBounded disables growing: the word core becomes a folklore table
-// (§4) with capacity 2×expected, the paper's sizing rule. Inserting
-// beyond the bound panics, exactly like the low-level table.
+// (§4) with capacity 2×expected, the paper's sizing rule; an expected of
+// 0 means 2^20 elements. Inserting beyond the bound panics, exactly like
+// the low-level table.
 func WithBounded(expected uint64) Option {
+	if expected == 0 {
+		expected = 1 << 20
+	}
 	return func(c *config) {
 		c.bounded = true
 		c.expected = expected
@@ -60,20 +64,14 @@ type CacheSettings struct {
 	// an explicit deadline. Zero means entries are immortal unless given
 	// a per-entry TTL.
 	TTL time.Duration
-	// MaxEntries bounds the cache's live element count; once the
-	// (approximate) size exceeds it, writes evict sampled
-	// least-recently-accessed entries. Zero means unbounded.
+	// MaxEntries bounds the cache's live element count; once the size
+	// exceeds it, writes evict sampled least-recently-accessed entries.
+	// Zero means unbounded.
 	MaxEntries uint64
 	// SweepInterval is the tick of the background expiry sweeper. Zero
 	// picks the cache's default; negative disables proactive sweeping
 	// (expiry is then enforced lazily on read only).
 	SweepInterval time.Duration
-	// MaxBytes bounds the cache's approximate backing memory. The cache
-	// divides it by the map's static per-entry byte estimate
-	// (Map.EntryBytes) and enforces the resulting entry budget exactly
-	// like MaxEntries; when both are set the tighter budget wins. Zero
-	// means unbounded.
-	MaxBytes uint64
 }
 
 // WithTTL sets the default time-to-live for cache entries stored without
@@ -84,20 +82,11 @@ func WithTTL(d time.Duration) Option {
 }
 
 // WithMaxEntries bounds the cache's live element count: beyond it,
-// writes evict sampled least-recently-accessed entries until the
-// (approximate) size is back under budget. Consumed by the cache layer;
-// the plain typed map ignores it.
+// writes evict sampled least-recently-accessed entries until the size is
+// back under budget. Consumed by the cache layer; the plain typed map
+// ignores it.
 func WithMaxEntries(n uint64) Option {
 	return func(c *config) { c.cache.MaxEntries = n }
-}
-
-// WithMaxBytes bounds the cache's approximate backing memory. The
-// budget is converted to an entry budget with the typed map's static
-// per-entry cost estimate (cell words plus codec arena knowledge, see
-// Map.EntryBytes); combined with WithMaxEntries the tighter budget
-// wins. Consumed by the cache layer; the plain typed map ignores it.
-func WithMaxBytes(n uint64) Option {
-	return func(c *config) { c.cache.MaxBytes = n }
 }
 
 // WithSweepInterval sets the tick of the cache's background expiry
@@ -119,9 +108,10 @@ func ResolveCacheSettings(opts ...Option) CacheSettings {
 	return c.cache
 }
 
-// WithHasher supplies the 64-bit hash used by maps whose keys take the
-// generic route (anything that is not a built-in integer or bool type;
-// strings included). K must equal the map's key type or New panics. The
+// WithHasher supplies the 64-bit hash used by maps on the generic route
+// (every map but those whose key and value types are both built-in
+// integers or bools, which hash nothing and ignore it). K must equal the
+// map's key type or New panics. The
 // facade is collision-correct — equal hashes are resolved by comparing
 // stored keys — so the hasher only affects performance, never results.
 func WithHasher[K comparable](h func(K) uint64) Option {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	growt "repro"
+	"repro/internal/cache"
 	"repro/internal/obs"
 )
 
@@ -111,6 +112,58 @@ func TestGenericChurnBounded(t *testing.T) {
 	m.Range(func(string, uint64) bool { seen++; return true })
 	if s := m.ApproxSize(); s != 1000 || seen != 1000 {
 		t.Fatalf("size %d, Range %d, want 1000", s, seen)
+	}
+}
+
+// TestIntegerKeyWideValueChurnBounded: a wide value has one home, the
+// generic route, under an integer key as under any other — an overwrite
+// leaves the old value to the collector, a delete gives back entry, cell
+// and page. Overwrites of 1 000 keys, never-reused keys inserted and
+// deleted, and a bounded cache fed never-reused keys (what examples/cache
+// does) all keep the heap after a collection flat.
+func TestIntegerKeyWideValueChurnBounded(t *testing.T) {
+	rounds := 1_000_000
+	if testing.Short() {
+		rounds = 250_000
+	}
+	const keys = 1000
+	base := heapAfterGC()
+	check := func(what string) {
+		t.Helper()
+		if grew := int64(heapAfterGC()) - int64(base); grew > 8<<20 {
+			t.Fatalf("%s: heap grew by %d bytes", what, grew)
+		}
+	}
+	value := func(i int) string { return "value-" + strconv.Itoa(i) }
+
+	m := growt.New[uint64, string]()
+	defer m.Close()
+	h := m.Handle()
+	for lap := 1; lap <= 4; lap++ {
+		for i := 0; i < rounds; i++ {
+			h.InsertOrUpdate(uint64(i%keys), value(i), growt.Replace[string])
+		}
+		check(fmt.Sprint(lap*rounds, " overwrites of ", keys, " keys"))
+	}
+	for i := 0; i < rounds; i++ {
+		k := uint64(keys + i)
+		if !h.Insert(k, value(i)) || !h.Delete(k) {
+			t.Fatalf("fresh key %d: insert or delete refused", k)
+		}
+	}
+	check(fmt.Sprint(rounds, " never-reused keys inserted and deleted"))
+	if s := m.ApproxSize(); s != keys {
+		t.Fatalf("size %d, want %d", s, keys)
+	}
+
+	c := cache.New[uint64, string](growt.WithMaxEntries(keys), growt.WithSweepInterval(-1))
+	defer c.Close()
+	for i := 0; i < rounds; i++ {
+		c.Set(uint64(i), value(i))
+	}
+	check(fmt.Sprint("cache of ", keys, " entries fed ", rounds, " never-reused keys"))
+	if n := c.Len(); n > 2*keys {
+		t.Fatalf("cache holds %d entries over a budget of %d", n, keys)
 	}
 }
 

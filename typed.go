@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -15,22 +14,25 @@ import (
 
 // This file is the typed public layer over the paper's word-sized cores:
 // one generic Map[K, V] in front of folklore, the four xyGrow variants
-// and the §5.6 full-key wrapper. New routes the key type to one of two
-// backends:
+// and the §5.6 full-key wrapper. New routes the pair of key and value
+// type to one of two backends:
 //
-//   - built-in integer and bool keys → the full-key wrapper over the
-//     configured word core (§5.6), so the whole value range of the Go
-//     type is legal, including 0 and the reserved bit patterns;
-//   - every other comparable key, string included → a hash-to-64-bit
-//     codec: the word core maps the key's hash to the head of a collision
-//     chain of typed entries in a paged arena. Equality is decided on the
-//     stored keys, never on hashes, so any hash function is correct. A
-//     deleted key gives back its entry, its hash cell and, page by page,
-//     its arena memory ("Generic comparable keys" below).
+//   - key and value both of built-in integer or bool type → the word
+//     route: the element sits in a cell of the full-key wrapper over the
+//     configured word core (§5.6), so the whole value range of the key's
+//     Go type is legal, including 0 and the reserved bit patterns;
+//   - every other pair — a string or struct key, an integer key with a
+//     string, slice, pointer or float value → the generic route, a
+//     hash-to-64-bit codec: the word core maps the key's hash to the head
+//     of a collision chain of typed entries in a paged arena. Equality is
+//     decided on the stored keys, never on hashes, so any hash function is
+//     correct. A deleted key gives back its entry, its hash cell and, page
+//     by page, its arena memory ("Generic comparable keys" below).
 //
-// Values on the integer route ride the codec layer in codec.go: inline
-// when they fit the word domain, behind a never-reclaimed indirection
-// arena otherwise — the one deferral of space reclamation left.
+// Keys and values on the word route go through the width codec of
+// codec.go; the one deferral of space reclamation left is there: 64-bit
+// integer values of magnitude ≥ 2^61 sit behind a never-reclaimed
+// indirection arena.
 
 // Map is a shared typed concurrent hash table built by New. The zero
 // value is not usable.
@@ -79,21 +81,19 @@ type backend[K comparable, V any] interface {
 	// growing core (0 for bounded backends).
 	generation() uint64
 	close()
-	rangeAll(fn func(K, V) bool)
-	// rangeFrom resumes rangeAll at cur; tables.CursorRanger semantics
-	// (wrapped=true means the walk reached the end and the returned
-	// cursor restarts from the beginning).
+	// rangeFrom walks the elements from cur; tables.CursorRanger
+	// semantics (the zero cursor starts at the beginning, wrapped=true
+	// means the walk reached the end and the returned cursor restarts
+	// from the beginning).
 	rangeFrom(cur tables.Cursor, fn func(K, V) bool) (tables.Cursor, bool)
-	// entryBytes is a static estimate of the bytes one stored element
-	// costs (cell words plus arena space), for byte-budget sizing.
-	entryBytes() uint64
 }
 
 // backendHandle mirrors the five primitives of §4 on typed operands,
 // plus the atomic load-and-delete and compare-and-swap each backend
-// provides natively (a generic emulation via update would re-encode the
-// unchanged value on every mismatch, leaking an arena slot per attempt
-// for arena-backed values).
+// provides natively (a generic emulation via update would write the
+// unchanged value back on every mismatch: a boxed value per attempt on
+// the generic route, an arena slot per attempt for an escaped value on
+// the word route).
 type backendHandle[K comparable, V any] interface {
 	insert(k K, v V) bool
 	update(k K, d V, up func(cur, d V) V) bool
@@ -107,20 +107,20 @@ type backendHandle[K comparable, V any] interface {
 
 // New builds a typed concurrent hash table. The default is the paper's
 // headline configuration — a growing uaGrow core starting at 4096 cells,
-// for every key type; see WithStrategy, WithCapacity, WithBounded, and
-// WithHasher.
+// for every pair of types; see WithStrategy, WithCapacity, WithBounded,
+// and WithHasher.
 //
 //	counts := growt.New[string, uint64]()
 //	edges := growt.New[uint64, uint64](growt.WithStrategy(growt.USGrow))
 //	memo := growt.New[Point, Result](growt.WithHasher(hashPoint))
 func New[K comparable, V any](opts ...Option) *Map[K, V] {
-	c := config{strategy: UAGrow}
+	c := config{strategy: UAGrow, capacity: defaultInitialCapacity}
 	for _, o := range opts {
 		o(&c)
 	}
 	var b backend[K, V]
-	if kenc, kdec, ok := wordKeyCodec[K](); ok {
-		b = newWordBackend[K, V](&c, kenc, kdec)
+	if kw, vw := wordWidth[K](), wordWidth[V](); kw != 0 && vw != 0 {
+		b = &wordBackend[K, V]{fk: newWordCore(&c), kw: kw, vc: valCodecFor[V](vw)}
 	} else {
 		b = newGenericBackend[K, V](&c)
 	}
@@ -136,9 +136,10 @@ func (m *Map[K, V]) Handle() *Handle[K, V] {
 // migration pools of paGrow/psGrow). Safe on every map.
 func (m *Map[K, V]) Close() { m.b.close() }
 
-// ApproxSize estimates the number of live elements (§5.2). Generic-route
-// maps (string keys included) count exactly; word-keyed growing maps
-// return the paper's approximate per-handle-counter estimate.
+// ApproxSize estimates the number of live elements (§5.2). A growing map
+// on the word route (key and value both built-in integers or bools)
+// returns the paper's approximate per-handle-counter estimate; every
+// other map counts exactly.
 func (m *Map[K, V]) ApproxSize() uint64 { return m.b.approxSize() }
 
 // Generation returns the number of completed migrations (growth,
@@ -150,7 +151,7 @@ func (m *Map[K, V]) Generation() uint64 { return m.b.generation() }
 // Range calls fn for every element until fn returns false. Like every
 // Range in this repository it is for quiescent use only: concurrent
 // writers may be partially observed.
-func (m *Map[K, V]) Range(fn func(k K, v V) bool) { m.b.rangeAll(fn) }
+func (m *Map[K, V]) Range(fn func(k K, v V) bool) { m.b.rangeFrom(Cursor{}, fn) }
 
 // RangeFrom resumes iteration at cur, calling fn until it returns false
 // or the walk reaches the end of the table. It returns the cursor to
@@ -163,12 +164,6 @@ func (m *Map[K, V]) Range(fn func(k K, v V) bool) { m.b.rangeAll(fn) }
 func (m *Map[K, V]) RangeFrom(cur Cursor, fn func(k K, v V) bool) (Cursor, bool) {
 	return m.b.rangeFrom(cur, fn)
 }
-
-// EntryBytes is a static estimate of the backing bytes one stored
-// element costs — the cell words plus the codec's arena slot for
-// arena-resident values. WithMaxBytes divides its byte budget by this
-// estimate to derive an entry budget.
-func (m *Map[K, V]) EntryBytes() uint64 { return m.b.entryBytes() }
 
 // PoolBorrows counts how many times the handle-free methods borrowed a
 // pooled handle over the map's lifetime. It exists for tests asserting
@@ -475,25 +470,22 @@ type Number interface {
 }
 
 // Add is the typed update function that adds the operand to the stored
-// value — the facade's analogue of AddFn for atomic aggregation.
+// value, for atomic aggregation (§4's atomicUpdate specialization).
 func Add[V Number](cur, d V) V { return cur + d }
 
 // Replace is the typed update function that overwrites the stored value
-// with the operand — the facade's analogue of Overwrite.
+// with the operand.
 func Replace[V any](_, d V) V { return d }
 
 // newWordCore builds the §5.6 full-key wrapper over the word core chosen
-// by the options; shared by the integer and generic key routes. Routing
-// through NewMap keeps the variant selection and its defaults in exactly
-// one place.
+// by the options — a folklore table of capacity 2×expected (§4) or a
+// growing one; shared by both routes.
 func newWordCore(c *config) *core.FullKeys {
 	return core.NewFullKeys(func() tables.Interface {
-		return NewMap(Options{
-			Strategy:        c.strategy,
-			InitialCapacity: c.capacity,
-			Bounded:         c.bounded,
-			Expected:        c.expected,
-		})
+		if c.bounded {
+			return core.NewFolklore(c.expected)
+		}
+		return core.NewGrow(c.strategy, c.capacity)
 	})
 }
 
@@ -512,18 +504,16 @@ func hasherFor[K comparable](c *config) func(K) uint64 {
 }
 
 // ---------------------------------------------------------------------
-// Integer/bool keys: codec over the full-key word core (§5.6).
+// Integer/bool keys and values: the width codec over the full-key word
+// core (§5.6).
 
 type wordBackend[K comparable, V any] struct {
-	fk   *core.FullKeys
-	kenc func(K) uint64
-	kdec func(uint64) K
-	vc   *valCodec[V]
+	fk *core.FullKeys
+	kw uintptr // wordWidth[K]()
+	vc valCodec[V]
 }
 
-func newWordBackend[K comparable, V any](c *config, kenc func(K) uint64, kdec func(uint64) K) *wordBackend[K, V] {
-	return &wordBackend[K, V]{fk: newWordCore(c), kenc: kenc, kdec: kdec, vc: newValCodec[V]()}
-}
+func (b *wordBackend[K, V]) kenc(k K) uint64 { return toWord(k, b.kw) }
 
 func (b *wordBackend[K, V]) newHandle() backendHandle[K, V] {
 	h := &wordHandle[K, V]{b: b, h: b.fk.Handle()}
@@ -533,15 +523,9 @@ func (b *wordBackend[K, V]) newHandle() backendHandle[K, V] {
 func (b *wordBackend[K, V]) approxSize() uint64 { return b.fk.ApproxSize() }
 func (b *wordBackend[K, V]) generation() uint64 { return b.fk.Generation() }
 func (b *wordBackend[K, V]) close()             { b.fk.Close() }
-func (b *wordBackend[K, V]) rangeAll(fn func(K, V) bool) {
-	b.fk.Range(func(k, w uint64) bool { return fn(b.kdec(k), b.vc.dec(w)) })
-}
 func (b *wordBackend[K, V]) rangeFrom(cur tables.Cursor, fn func(K, V) bool) (tables.Cursor, bool) {
-	return b.fk.RangeFrom(cur, func(k, w uint64) bool { return fn(b.kdec(k), b.vc.dec(w)) })
+	return b.fk.RangeFrom(cur, func(k, w uint64) bool { return fn(fromWord[K](k, b.kw), b.vc.dec(w)) })
 }
-
-// entryBytes: two cell words plus the codec's arena slot estimate.
-func (b *wordBackend[K, V]) entryBytes() uint64 { return 16 + b.vc.slotBytes }
 
 type wordHandle[K comparable, V any] struct {
 	b *wordBackend[K, V]
@@ -621,7 +605,7 @@ func (h *wordHandle[K, V]) del(k K) bool { return h.h.Delete(h.b.kenc(k)) }
 // to a concurrent delete after that invocation, and then nothing was
 // written.
 func (h *wordHandle[K, V]) compareAndSwap(k K, old, new V) bool {
-	vc := h.b.vc
+	vc := &h.b.vc
 	swapped, encoded := false, false
 	var newW uint64
 	applied := h.h.Update(h.b.kenc(k), 0, func(cur, _ uint64) uint64 {
@@ -766,8 +750,6 @@ func (b *genericBackend[K, V]) generation() uint64 { return b.fk.Generation() }
 
 func (b *genericBackend[K, V]) close() { b.fk.Close() }
 
-func (b *genericBackend[K, V]) rangeAll(fn func(K, V) bool) { b.rangeFrom(tables.Cursor{}, fn) }
-
 // rangeFrom walks the arena from cur: every live entry is exactly one
 // element (an entry is live only while linked, but for the instant its
 // upsert takes to link it or give it back). Entry indices never change
@@ -795,12 +777,6 @@ func (b *genericBackend[K, V]) rangeFrom(cur tables.Cursor, fn func(K, V) bool) 
 		}
 	}
 	return tables.Cursor{Gen: b.gen}, true
-}
-
-// entryBytes: the hash cell words plus one typed chain entry.
-func (b *genericBackend[K, V]) entryBytes() uint64 {
-	var e entry[K, V]
-	return 16 + uint64(unsafe.Sizeof(e))
 }
 
 // newEntry builds a live, not yet linked entry for ⟨k,v⟩.

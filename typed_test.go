@@ -13,7 +13,7 @@ import (
 
 // point is the struct-key instantiation exercised by the conformance
 // suite: it takes the generic hash-codec route with the default
-// (fingerprint) hasher, and its string values ride the indirection arena.
+// (reflect-walk) hasher.
 type point struct{ X, Y int32 }
 
 // nodeID is a named integer type; named types fall off the built-in fast
@@ -211,6 +211,9 @@ func TestTypedConformance(t *testing.T) {
 	t.Run("string-uint64", func(t *testing.T) {
 		conformance(t, growt.New[string, uint64](), strkey, u64val)
 	})
+	t.Run("uint64-string", func(t *testing.T) { // generic route, default integer hasher
+		conformance(t, growt.New[uint64, string](), u64key, strval)
+	})
 	t.Run("string-string-arena-values", func(t *testing.T) {
 		conformance(t, growt.New[string, string](growt.WithBounded(2000)), strkey, strval)
 	})
@@ -247,8 +250,9 @@ func TestTypedConformance(t *testing.T) {
 	})
 }
 
-// TestTypedWideIntegerValues drives the inline/arena escape split: 64-bit
-// values above 2^61 (and all negatives) must survive the indirection.
+// TestTypedWideIntegerValues drives the word route's inline/arena escape
+// split: 64-bit values from 2^61 up (and all negatives) must survive the
+// indirection.
 func TestTypedWideIntegerValues(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) {
 		m := growt.New[uint64, uint64]()
@@ -591,7 +595,7 @@ func TestTypedCompareAndSwapArenaValues(t *testing.T) {
 	if m.CompareAndSwap(1, big, big+2) {
 		t.Fatal("cas with stale arena value succeeded")
 	}
-	// And string values (always arena-backed).
+	// And string values under an integer key (the generic route).
 	s := growt.New[uint64, string]()
 	defer s.Close()
 	s.Store(1, "alpha")
@@ -756,13 +760,17 @@ func TestSessionsBeyondPoolCap(t *testing.T) {
 }
 
 // TestFacadeAllocs pins what an operation on a present key allocates: on
-// the generic route nothing for a Load and the boxed value for a Store, on
-// the word route (inline values) nothing at all — neither the handle-free
-// hop nor the typed-to-word update wrapper may cost an allocation.
+// the generic route — a string key, or an integer key with a wide value —
+// nothing for a Load and the boxed value for a Store, on the word route
+// (inline values) nothing at all — neither the handle-free hop nor the
+// typed-to-word update wrapper may cost an allocation.
 func TestFacadeAllocs(t *testing.T) {
 	g := growt.New[string, string]()
 	defer g.Close()
 	g.Store("key", "v0")
+	iw := growt.New[uint64, string]()
+	defer iw.Close()
+	iw.Store(7, "v0")
 	w := growt.New[uint64, uint64]()
 	defer w.Close()
 	w.Store(7, 1)
@@ -774,6 +782,8 @@ func TestFacadeAllocs(t *testing.T) {
 	}{
 		{"generic Map.Load", 0, func() { g.Load("key") }},
 		{"generic Map.Store", 1, func() { g.Store("key", "v1") }},
+		{"integer-key wide-value Map.Load", 0, func() { iw.Load(7) }},
+		{"integer-key wide-value Map.Store", 1, func() { iw.Store(7, "v1") }},
 		{"word Map.Load", 0, func() { w.Load(7) }},
 		{"word Map.Store", 0, func() { w.Store(7, 2) }},
 		{"word Map.Compute", 0, func() { w.Compute(7, 1, growt.Add[uint64]) }},
