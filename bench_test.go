@@ -19,7 +19,6 @@ import (
 
 	growt "repro"
 	"repro/internal/bench"
-	"repro/internal/bench/report"
 	"repro/internal/rng"
 	"repro/internal/zipfgen"
 
@@ -42,18 +41,16 @@ func benchCfg(b *testing.B, tables ...string) *bench.Config {
 	return cfg
 }
 
-// publish reports each scenario result as a benchmark metric. The
-// metric is the median-of-repeats throughput (via the BENCH report
-// record) so a single noisy repeat cannot drag the published number;
-// with -repeat 1 the median equals the lone sample.
+// publish reports each scenario result as a benchmark metric: the
+// throughput of the one repeat benchCfg asks for.
 func publish(b *testing.B, results []bench.Result) {
 	b.Helper()
-	for _, rec := range report.FromResults(results) {
-		name := rec.Table
-		if rec.Param != 0 {
-			name = fmt.Sprintf("%s_p%g", rec.Table, rec.Param)
+	for _, r := range results {
+		name := r.Table
+		if r.Param != 0 {
+			name = fmt.Sprintf("%s_p%g", r.Table, r.Param)
 		}
-		b.ReportMetric(rec.MedianMOps(), name+"_MOps")
+		b.ReportMetric(r.MOps, name+"_MOps")
 	}
 }
 

@@ -11,17 +11,13 @@
 //	growbench -exp fig2b -tables uaGrow,usGrow -threads 1,4,8
 //	growbench -exp table1                # the functionality matrix
 //
-// Machine-readable reports and the perf-regression gate:
+// -json writes a machine-readable report (internal/bench/report) next
+// to the printed tables:
 //
-//	growbench -exp fig2a -json out.json              # write a BENCH report
-//	growbench -compare out.json -exp fig2a           # re-run, gate on regressions
-//	growbench -compare base.json -with cur.json      # compare two files, no run
+//	growbench -exp fig2a -json out.json
 //
-// -compare exits with status 3 when any matched data point is slower
-// than the baseline beyond -tolerance (median-of-repeats on both
-// sides). -slowdown scales measured times and exists to validate the
-// gate end to end: `-compare base.json -exp fig2a -slowdown 2` must
-// fail.
+// The gate that decides whether a change is a regression is the
+// repository benchmark (benchmark/, BENCHMARK.json), not this tool.
 package main
 
 import (
@@ -41,21 +37,15 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "comma-separated experiment ids (fig2a..fig11b, table1, all)")
-		n         = flag.Uint64("n", 1<<20, "operations per measurement (paper: 1e8)")
-		threads   = flag.String("threads", "", "comma-separated goroutine counts")
-		tabs      = flag.String("tables", "", "comma-separated table filter")
-		skews     = flag.String("s", "", "comma-separated Zipf exponents")
-		wps       = flag.String("wp", "", "comma-separated write percentages")
-		repeat    = flag.Int("repeat", 3, "runs per data point (comparisons use the median; raw samples kept for -json)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		jsonOut   = flag.String("json", "", "write results as a versioned BENCH report to this path")
-		compareTo = flag.String("compare", "", "baseline BENCH_*.json to gate against (exit 3 on regression)")
-		with      = flag.String("with", "", "with -compare: gate this report file instead of running experiments")
-		tolerance = flag.Float64("tolerance", report.DefaultTolerance,
-			"fractional MOps drop allowed before -compare fails")
-		slowdown = flag.Float64("slowdown", 1,
-			"debug: scale measured seconds by this factor (validates the -compare gate)")
+		exp     = flag.String("exp", "", "comma-separated experiment ids (fig2a..fig11b, table1, all)")
+		n       = flag.Uint64("n", 1<<20, "operations per measurement (paper: 1e8)")
+		threads = flag.String("threads", "", "comma-separated goroutine counts")
+		tabs    = flag.String("tables", "", "comma-separated table filter")
+		skews   = flag.String("s", "", "comma-separated Zipf exponents")
+		wps     = flag.String("wp", "", "comma-separated write percentages")
+		repeat  = flag.Int("repeat", 3, "runs per data point (the tables print the mean; raw samples kept for -json)")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		jsonOut = flag.String("json", "", "write results as a versioned BENCH report to this path")
 	)
 	flag.Parse()
 
@@ -63,18 +53,6 @@ func main() {
 		for _, id := range bench.Order {
 			fmt.Println(id)
 		}
-		return
-	}
-
-	// File-vs-file mode: no experiments run at all.
-	if *with != "" {
-		if *compareTo == "" {
-			fatal(fmt.Errorf("-with requires -compare <baseline.json>"))
-		}
-		if *exp != "" || *jsonOut != "" {
-			fatal(fmt.Errorf("-with compares two existing reports; -exp/-json do not apply"))
-		}
-		gate(*compareTo, *with, *tolerance)
 		return
 	}
 
@@ -114,29 +92,12 @@ func main() {
 	for _, id := range ids {
 		results = append(results, bench.Experiments[id](cfg)...)
 	}
-	if *slowdown != 1 {
-		if *slowdown <= 0 {
-			fatal(fmt.Errorf("-slowdown must be positive"))
-		}
-		applySlowdown(results, *slowdown)
-	}
-
-	var rep *report.Report
-	if *jsonOut != "" || *compareTo != "" {
-		rep = report.New(cfg, results, "growbench "+strings.Join(os.Args[1:], " "))
-	}
 	if *jsonOut != "" {
+		rep := report.New(cfg, results, "growbench "+strings.Join(os.Args[1:], " "))
 		if err := rep.Save(*jsonOut); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "growbench: wrote %d records to %s\n", len(rep.Results), *jsonOut)
-	}
-	if *compareTo != "" {
-		base, err := report.Load(*compareTo)
-		if err != nil {
-			fatal(err)
-		}
-		exitCompare(base, rep, *tolerance)
 	}
 }
 
@@ -162,48 +123,6 @@ func parseExps(s string) []string {
 		fatal(fmt.Errorf("-exp lists no experiments"))
 	}
 	return ids
-}
-
-// applySlowdown scales every measurement as if the run were factor×
-// slower, including the raw samples, so a seeded regression flows
-// through the median-based comparator exactly like a real one.
-func applySlowdown(results []bench.Result, factor float64) {
-	for i := range results {
-		results[i].Seconds *= factor
-		results[i].MOps /= factor
-		for j := range results[i].Samples {
-			results[i].Samples[j] *= factor
-		}
-	}
-}
-
-// gate compares two report files and exits with the gate status.
-func gate(basePath, curPath string, tolerance float64) {
-	base, err := report.Load(basePath)
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := report.Load(curPath)
-	if err != nil {
-		fatal(err)
-	}
-	exitCompare(base, cur, tolerance)
-}
-
-// exitCompare prints the verdict table and exits 3 if the gate fails.
-func exitCompare(base, cur *report.Report, tolerance float64) {
-	cmp := report.Compare(base, cur, tolerance)
-	fmt.Printf("\n== compare against baseline (%s) ==\n", base.Command)
-	cmp.Format(os.Stdout)
-	switch {
-	case cmp.Matched == 0:
-		fmt.Fprintln(os.Stderr, "growbench: no data points matched the baseline — nothing was gated")
-		os.Exit(3)
-	case !cmp.OK():
-		fmt.Fprintf(os.Stderr, "growbench: %d regression(s) beyond ±%.0f%% tolerance\n",
-			cmp.Regressions, cmp.Tolerance*100)
-		os.Exit(3)
-	}
 }
 
 func parseInts(s string) ([]int, error) {

@@ -32,9 +32,8 @@
 //	growload -ttl 500ms -writep 30 -json BENCH_cache.json
 //
 // With -json the run is recorded as a service-kind record in the
-// versioned BENCH report schema (internal/bench/report), so
-// `growbench -compare` gates serving performance exactly like the
-// fig-experiments.
+// versioned BENCH report schema (internal/bench/report), next to the
+// fig-experiments' records.
 package main
 
 import (
@@ -92,8 +91,8 @@ func main() {
 		fatal(fmt.Errorf("-keys must be >= 1"))
 	}
 	if *conns < 1 || *depth < 1 {
-		// Zero workers would "measure" nothing, exit 0, and could poison
-		// a recorded baseline with an all-zero record.
+		// Zero workers would "measure" nothing, exit 0, and write an
+		// all-zero record.
 		fatal(fmt.Errorf("-conns and -depth must be >= 1"))
 	}
 
@@ -228,8 +227,7 @@ func main() {
 			P99us:      us(res.hist.Quantile(0.99)),
 			MeanUs:     us(res.hist.Mean()),
 		}
-		// N records the configured key universe — a true config knob, so
-		// same-workload runs compare without config-divergence warnings;
+		// N records the configured key universe — a true config knob;
 		// the measured op count lives in the record's Extra.
 		rep := report.NewFromRecords(report.RunConfig{
 			N:       *keys,

@@ -198,7 +198,7 @@ func stressHandleFree(t *testing.T, m *Map[string, uint64]) {
 					m.release(h)
 				case 2: // a Session opened and closed
 					s := m.Session()
-					f := hold(s.h)
+					f := hold(s.Handle)
 					s.Compute(ctr, 1, Add[uint64])
 					s.Store(own, i)
 					f.Store(false)

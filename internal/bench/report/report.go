@@ -1,22 +1,19 @@
 // Package report defines the versioned, machine-readable benchmark
-// report format (BENCH_*.json) for the §8 evaluation suite, plus the
-// noise-tolerant comparator behind `growbench -compare` and the CI
-// bench-smoke gate.
+// report format that `growbench -json` and `growload -json` write for
+// the §8 evaluation suite and the served scenarios.
 //
 // A report captures everything needed to interpret a number months
 // later: the exact run configuration, the environment it ran in (go
 // version, GOMAXPROCS, CPU model, git SHA), the command that produced
-// it, and per-scenario results carrying the raw per-repeat samples so
-// comparisons can use the median instead of a mean that one noisy
-// repeat can drag.
+// it, and per-scenario results carrying the raw per-repeat samples, so
+// a reader can take the median instead of a mean that one noisy repeat
+// can drag.
 package report
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -24,8 +21,7 @@ import (
 )
 
 // SchemaVersion is bumped on any incompatible change to the JSON
-// layout. Load rejects files written by a different major schema so a
-// stale baseline fails loudly instead of comparing garbage.
+// layout, so a reader can tell a stale file from a current one.
 const SchemaVersion = 1
 
 // Report is the root of a BENCH_*.json file.
@@ -39,9 +35,7 @@ type Report struct {
 }
 
 // Environment records where a report was measured. Throughput numbers
-// are only comparable within similar environments; the comparator
-// warns when configs diverge but cannot see hardware drift — that is
-// what these fields are for.
+// are only comparable within similar environments.
 type Environment struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -66,8 +60,7 @@ type RunConfig struct {
 // KindService marks records measured through the network service layer
 // (growd + growload) rather than in-process: MOps is end-to-end served
 // throughput and the latency percentiles are populated. Table-scenario
-// records leave Kind empty. The comparator needs no special case — the
-// throughput gate works identically on both kinds.
+// records leave Kind empty.
 const KindService = "service"
 
 // Record is one measured data point — a lossless serialization of
@@ -100,35 +93,6 @@ type Record struct {
 	P95us  float64 `json:"p95_us,omitempty"`
 	P99us  float64 `json:"p99_us,omitempty"`
 	MeanUs float64 `json:"mean_us,omitempty"`
-}
-
-// Key identifies a data point across reports: two records with equal
-// keys measure the same scenario cell and may be compared. Kind is part
-// of the key so a service record can never gate against an in-process
-// record that happens to share its exp/table/threads/param.
-func (r Record) Key() string {
-	return fmt.Sprintf("%s|%s|%s|t%d|p%g", r.Kind, r.Exp, r.Table, r.Threads, r.Param)
-}
-
-// MedianMOps recomputes throughput from the median repeat instead of
-// the mean. With the usual Repeat=3 this discards a single noisy run
-// entirely, which is what makes smoke-scale comparisons tolerable.
-// Falls back to the stored mean when samples are absent or degenerate.
-func (r Record) MedianMOps() float64 {
-	if len(r.SampleSecs) == 0 || r.Seconds <= 0 {
-		return r.MOps
-	}
-	s := append([]float64(nil), r.SampleSecs...)
-	sort.Float64s(s)
-	med := s[len(s)/2]
-	if len(s)%2 == 0 {
-		med = (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	if med <= 0 {
-		return r.MOps
-	}
-	// MOps·Seconds is the op count in millions; re-divide by the median.
-	return r.MOps * r.Seconds / med
 }
 
 // paramName labels the Param axis per experiment family, so a report
@@ -167,8 +131,7 @@ func FromResults(results []bench.Result) []Record {
 
 // New assembles a report from a run: config snapshot, captured
 // environment, current timestamp, and the converted results. command
-// records how to regenerate the file (satellite requirement: the
-// committed baseline must carry its generation command).
+// records how to regenerate the file.
 func New(cfg *bench.Config, results []bench.Result, command string) *Report {
 	return NewFromRecords(RunConfig{
 		N:       cfg.N,
@@ -196,7 +159,7 @@ func NewFromRecords(cfg RunConfig, recs []Record, command string) *Report {
 }
 
 // Write serializes the report as indented JSON (stable field order,
-// trailing newline) so committed baselines diff cleanly.
+// trailing newline) so committed reports diff cleanly.
 func (r *Report) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -214,21 +177,4 @@ func (r *Report) Save(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Load reads and validates a report file.
-func Load(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("report %s: %v", path, err)
-	}
-	if r.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("report %s: schema version %d, this binary reads %d — regenerate the file",
-			path, r.SchemaVersion, SchemaVersion)
-	}
-	return &r, nil
 }

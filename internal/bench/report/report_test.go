@@ -2,11 +2,9 @@ package report
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -34,33 +32,30 @@ func sampleReport() *Report {
 	}
 }
 
-// TestRoundTrip: Save then Load must reproduce the report exactly.
+// load reads back what Save wrote.
+func load(t *testing.T, path string) *Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatal(err)
+	}
+	return &r
+}
+
+// TestRoundTrip: a saved report must read back exactly.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_rt.json")
 	want := sampleReport()
 	if err := want.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := load(t, path)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
-	}
-}
-
-// TestLoadRejectsSchemaMismatch: a future/old schema must fail loudly.
-func TestLoadRejectsSchemaMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_v99.json")
-	r := sampleReport()
-	r.SchemaVersion = 99
-	data, _ := json.Marshal(r)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "schema version") {
-		t.Fatalf("want schema version error, got %v", err)
 	}
 }
 
@@ -88,196 +83,8 @@ func TestFromResults(t *testing.T) {
 	}
 }
 
-// TestMedianMOps: the median must shrug off one outlier repeat that
-// would drag the mean.
-func TestMedianMOps(t *testing.T) {
-	// 3 repeats of 1s, 1s, 10s over 4 Mops of work: mean 4s → 1 MOps,
-	// median 1s → 4 MOps.
-	r := Record{MOps: 1, Seconds: 4, SampleSecs: []float64{1, 10, 1}}
-	if got := r.MedianMOps(); math.Abs(got-4) > 1e-9 {
-		t.Errorf("median MOps = %v, want 4", got)
-	}
-	// No samples: fall back to the stored mean.
-	if got := (Record{MOps: 7, Seconds: 1}).MedianMOps(); got != 7 {
-		t.Errorf("fallback MOps = %v, want 7", got)
-	}
-}
-
-// compareOne builds two single-record reports with the given median
-// throughputs and compares them at tolerance tol.
-func compareOne(t *testing.T, baseMOps, curMOps, tol float64) *Comparison {
-	t.Helper()
-	mk := func(mops float64) *Report {
-		r := sampleReport()
-		r.Results = []Record{{Exp: "fig2a", Table: "uaGrow", Threads: 2,
-			MOps: mops, Seconds: 1, SampleSecs: []float64{1, 1, 1}}}
-		return r
-	}
-	return Compare(mk(baseMOps), mk(curMOps), tol)
-}
-
-// TestCompareVerdicts: at, under, and over the tolerance boundary.
-func TestCompareVerdicts(t *testing.T) {
-	cases := []struct {
-		name           string
-		base, cur, tol float64
-		status         Status
-		regressions    int
-	}{
-		{"unchanged", 100, 100, 0.25, StatusOK, 0},
-		{"drop within tolerance", 100, 80, 0.25, StatusOK, 0},
-		{"drop at boundary stays ok", 100, 75.0000001, 0.25, StatusOK, 0},
-		{"drop beyond tolerance", 100, 74, 0.25, StatusRegression, 1},
-		{"halved", 100, 50, 0.25, StatusRegression, 1},
-		{"speedup", 100, 130, 0.25, StatusImproved, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := compareOne(t, tc.base, tc.cur, tc.tol)
-			if c.Matched != 1 {
-				t.Fatalf("matched %d, want 1", c.Matched)
-			}
-			if c.Verdicts[0].Status != tc.status {
-				t.Errorf("status %s, want %s", c.Verdicts[0].Status, tc.status)
-			}
-			if c.Regressions != tc.regressions {
-				t.Errorf("regressions %d, want %d", c.Regressions, tc.regressions)
-			}
-			if (c.Regressions == 0) != c.OK() {
-				t.Error("OK() disagrees with regression count")
-			}
-		})
-	}
-}
-
-// TestCompareUnmatchedKeys: one-sided records inform but never gate.
-func TestCompareUnmatchedKeys(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	cur.Results = []Record{
-		base.Results[0], // matched
-		{Exp: "fig3a find (hit)", Table: "usGrow", Threads: 2, MOps: 5, Seconds: 1},
-	}
-	c := Compare(base, cur, 0.25)
-	if !c.OK() {
-		t.Fatal("unmatched keys must not regress the gate")
-	}
-	var currentOnly, baselineOnly int
-	for _, v := range c.Verdicts {
-		switch v.Status {
-		case StatusCurrentOnly:
-			currentOnly++
-		case StatusBaselineOnly:
-			baselineOnly++
-		}
-	}
-	if currentOnly != 1 || baselineOnly != 1 {
-		t.Errorf("current-only %d baseline-only %d, want 1 and 1", currentOnly, baselineOnly)
-	}
-}
-
-// TestCompareZeroMatchedFails: disjoint reports must not pass the gate
-// vacuously — a misconfigured -exp/-tables would otherwise look green.
-func TestCompareZeroMatchedFails(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	cur.Results = []Record{{Exp: "fig6 insert+delete window", Table: "cuckoo", Threads: 2, MOps: 1, Seconds: 1}}
-	c := Compare(base, cur, 0.25)
-	if c.Matched != 0 {
-		t.Fatalf("matched %d, want 0", c.Matched)
-	}
-	if c.OK() {
-		t.Fatal("zero-match comparison passed the gate")
-	}
-	found := false
-	for _, w := range c.Warnings {
-		if strings.Contains(w, "no data points matched") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no zero-match warning in %v", c.Warnings)
-	}
-}
-
-// TestCompareUsesMedian: a single noisy repeat in the current run must
-// not trip the gate when the median is unchanged.
-func TestCompareUsesMedian(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	base.Results = base.Results[:1]
-	cur.Results = []Record{base.Results[0]}
-	// Same median repeat (0.0013s) but one 10× outlier drags the mean.
-	cur.Results[0].SampleSecs = []float64{0.0013, 0.013, 0.0013}
-	cur.Results[0].Seconds = 0.0052
-	cur.Results[0].MOps = base.Results[0].MOps / 4
-	if c := Compare(base, cur, 0.25); !c.OK() {
-		t.Fatalf("median comparison tripped on a single outlier: %+v", c.Verdicts)
-	}
-}
-
-// TestRegressionFixture: the committed known-slower fixture must fail
-// the gate against its baseline fixture — the contract the CI
-// bench-smoke job relies on.
-func TestRegressionFixture(t *testing.T) {
-	base, err := Load(filepath.Join("testdata", "fixture_base.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Load(filepath.Join("testdata", "fixture_slow.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Compare(base, slow, 0.25)
-	if c.OK() {
-		t.Fatal("known-slower fixture passed the gate")
-	}
-	// The 2× slower uaGrow row regresses; the 5% slower mutexmap row
-	// stays within tolerance.
-	for _, v := range c.Verdicts {
-		want := StatusOK
-		if v.Table == "uaGrow" {
-			want = StatusRegression
-		}
-		if v.Status != want {
-			t.Errorf("%s: status %s, want %s", v.Key, v.Status, want)
-		}
-	}
-	// The same file compared against itself must pass.
-	if c := Compare(base, base, 0.25); !c.OK() {
-		t.Fatal("identical reports failed the gate")
-	}
-}
-
-// TestCompareWarnsOnConfigDivergence: different -n must be surfaced.
-func TestCompareWarnsOnConfigDivergence(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	cur.Config.N = base.Config.N * 2
-	c := Compare(base, cur, 0.25)
-	found := false
-	for _, w := range c.Warnings {
-		if strings.Contains(w, "-n") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no -n divergence warning in %v", c.Warnings)
-	}
-}
-
-// TestFormatMentionsVerdicts: the gate log names every status.
-func TestFormatMentionsVerdicts(t *testing.T) {
-	c := compareOne(t, 100, 50, 0.25)
-	var sb strings.Builder
-	c.Format(&sb)
-	out := sb.String()
-	for _, want := range []string{"regression", "regressions 1", "tolerance"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("format output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestServiceRecordRoundTrip: the service-kind record (growload) with
-// its latency percentiles must survive Save/Load and gate through the
-// comparator exactly like table-scenario records.
+// its latency percentiles must survive a save.
 func TestServiceRecordRoundTrip(t *testing.T) {
 	svc := Record{
 		Kind: KindService, Exp: "svc-mixed", Table: "growd", Threads: 64,
@@ -293,29 +100,11 @@ func TestServiceRecordRoundTrip(t *testing.T) {
 	if err := rep.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := load(t, path)
 	if !reflect.DeepEqual(got.Results, rep.Results) {
 		t.Fatalf("service record mangled:\n got %+v\nwant %+v", got.Results, rep.Results)
 	}
 	if got.Results[0].Kind != KindService || got.Results[0].P99us != 950 {
 		t.Fatalf("latency fields lost: %+v", got.Results[0])
-	}
-
-	// The throughput gate sees service records like any other: a 2x
-	// slowdown must regress, a matching run must pass.
-	slower := *rep
-	slowRec := svc
-	slowRec.MOps /= 2
-	slowRec.SampleSecs = []float64{8.0}
-	slowRec.Seconds = 8.0
-	slower.Results = []Record{slowRec}
-	if c := Compare(rep, &slower, 0.25); c.OK() || c.Regressions != 1 {
-		t.Fatalf("service regression not gated: %+v", c)
-	}
-	if c := Compare(rep, rep, 0.25); !c.OK() || c.Matched != 1 {
-		t.Fatalf("identical service reports must pass: %+v", c)
 	}
 }

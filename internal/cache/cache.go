@@ -25,13 +25,24 @@
 // delete sees a different item), so eviction can never lose a fresh
 // write.
 //
-// Two access disciplines are offered, mirroring the typed map's. The
-// Cache's own methods are handle-free: each op borrows a pooled map
-// handle for its duration. A Session (NewSession/Close) pins one pooled
-// handle for its lifetime and mirrors every Cache operation on it — the
-// right shape for a connection or worker loop, which then pays the
-// map's acquire and release once instead of per op. Sessions are not
-// for concurrent use; the Cache itself is.
+// Two access disciplines are offered, mirroring the typed map's, over
+// one operation set: every operation is written once, as a method of
+// ops, against the six map methods it needs (view). The Cache embeds
+// ops over the map itself, so its methods are handle-free: each op
+// borrows a pooled map handle for its duration. A Session
+// (NewSession/Close) embeds the same ops over a map session that pins
+// one pooled handle for its lifetime — the right shape for a connection
+// or worker loop, which then pays the map's acquire and release once
+// instead of per op. Sessions are not for concurrent use; the Cache
+// itself is.
+//
+// There is one versioning idiom. An item is immutable, so its pointer
+// is the entry's version, and every conditional write is the same move:
+// read the item, decide on it, CompareAndSwap or CompareAndDelete exactly
+// that item in the map. CompareAndSwap, CompareAndDelete and Expire look
+// again if it moved; lazy collection, eviction and the sweeper let it go
+// (whatever replaced it is newer than their verdict). A refusal writes
+// nothing and allocates nothing.
 //
 // The cache shares the root package's functional-option vocabulary:
 // WithTTL, WithMaxEntries, and WithSweepInterval
@@ -55,6 +66,7 @@
 package cache
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,9 +120,9 @@ type Stats struct {
 	Sweeps  uint64 `json:"sweeps"`  // completed sweeper ticks
 
 	// SweepVisited / SweepRemoved total the entries examined and
-	// collected across all sweep ticks; LastSweepVisited /
-	// LastSweepRemoved are the most recent tick alone (the per-tick
-	// gauges growd publishes).
+	// collected across all sweep ticks (growd publishes the same totals
+	// as growt_cache_sweep_*_total); LastSweepVisited / LastSweepRemoved
+	// are the most recent tick alone.
 	SweepVisited     uint64 `json:"sweep_visited"`
 	SweepRemoved     uint64 `json:"sweep_removed"`
 	LastSweepVisited uint64 `json:"last_sweep_visited"`
@@ -121,6 +133,8 @@ type Stats struct {
 // Safe for unrestricted concurrent use; the zero value is not usable —
 // build with New.
 type Cache[K comparable, V any] struct {
+	ops[K, V] // over m itself: the handle-free discipline
+
 	m   *growt.Map[K, *item[V]]
 	set growt.CacheSettings
 
@@ -167,6 +181,7 @@ func newCache[K comparable, V any](now func() int64, opts ...growt.Option) *Cach
 		set: growt.ResolveCacheSettings(opts...),
 		now: now,
 	}
+	c.ops = ops[K, V]{c: c, v: c.m}
 	if c.set.MaxEntries > 0 {
 		size := uint64(minRing)
 		for size < c.set.MaxEntries && size < maxRing {
@@ -217,10 +232,6 @@ func (c *Cache[K, V]) Stats() Stats {
 // growt.Map.PoolBorrows); tests use it to assert session discipline.
 func (c *Cache[K, V]) PoolBorrows() uint64 { return c.m.PoolBorrows() }
 
-// Len is the number of stored entries (live + not-yet-collected
-// expired): the generic route's exact count.
-func (c *Cache[K, V]) Len() uint64 { return c.m.ApproxSize() }
-
 // Generation returns the underlying map's completed-migration count
 // (see growt.Map.Generation); the slow-op log stamps each entry with
 // the generation it ran against so a stall can be tied to the exact
@@ -228,9 +239,15 @@ func (c *Cache[K, V]) Len() uint64 { return c.m.ApproxSize() }
 func (c *Cache[K, V]) Generation() uint64 { return c.m.Generation() }
 
 // deadline converts a ttl into an absolute expiry; ttl <= 0 = immortal.
+// The sum saturates: a ttl that reaches past the end of the clock (the
+// wire's SETEX/EXPIRE saturate to one) means "never", not a deadline
+// that wrapped into the past.
 func deadline(now int64, ttl time.Duration) int64 {
 	if ttl <= 0 {
 		return 0
+	}
+	if int64(ttl) > math.MaxInt64-now {
+		return math.MaxInt64
 	}
 	return now + int64(ttl)
 }
@@ -241,8 +258,8 @@ func dead[V any](it *item[V], now int64) bool {
 }
 
 // newItem builds a fresh entry with its access clock primed.
-func newItem[V any](v V, now int64, ttl time.Duration) *item[V] {
-	it := &item[V]{val: v, expiry: deadline(now, ttl)}
+func newItem[V any](v V, now, expiry int64) *item[V] {
+	it := &item[V]{val: v, expiry: expiry}
 	it.access.Store(now)
 	return it
 }
@@ -250,64 +267,73 @@ func newItem[V any](v V, now int64, ttl time.Duration) *item[V] {
 // view is the slice of the typed map's surface the cache operates
 // through: both *growt.Map (handle-free, one pool borrow per op) and
 // *growt.Session (one pinned handle) satisfy it at [K, *item[V]].
-// Every operation core below is written against a view, so the public
-// Cache methods and the Session methods share one implementation.
 type view[K comparable, V any] interface {
 	Load(k K) (*item[V], bool)
 	Store(k K, it *item[V])
 	Compute(k K, d *item[V], up func(cur, d *item[V]) *item[V]) bool
-	Update(k K, d *item[V], up func(cur, d *item[V]) *item[V]) bool
-	Delete(k K) bool
 	LoadAndDelete(k K) (*item[V], bool)
 	CompareAndSwap(k K, old, new *item[V]) bool
 	CompareAndDelete(k K, old *item[V]) bool
 }
 
-// collect removes the expired item it from k if it is still the stored
-// entry — the lazy half of expiry. The conditional delete is what makes
-// the race against writers safe: if anything replaced it, the delete
-// refuses and the replacement survives untouched.
-func (c *Cache[K, V]) collect(v view[K, V], k K, it *item[V]) {
-	if v.CompareAndDelete(k, it) {
-		c.countExpired()
+// ops is the cache's operation set, written once against a view. Cache
+// embeds it over the map itself and Session over a pinned map session,
+// so the two expose the same methods from the same bodies.
+type ops[K comparable, V any] struct {
+	c *Cache[K, V]
+	v view[K, V]
+}
+
+// live returns the unexpired item at k, or nil. An expired entry reads
+// as absent and is collected in passing — the lazy half of expiry.
+func (o *ops[K, V]) live(k K, now int64) *item[V] {
+	it, ok := o.v.Load(k)
+	if !ok {
+		return nil
 	}
+	if dead(it, now) {
+		o.collect(k, it)
+		return nil
+	}
+	return it
+}
+
+// collect removes the expired item it from k if it is still the stored
+// entry. The conditional delete is what makes the race against writers
+// safe: if anything replaced it, the delete refuses and the replacement
+// survives untouched.
+func (o *ops[K, V]) collect(k K, it *item[V]) bool {
+	if !o.v.CompareAndDelete(k, it) {
+		return false
+	}
+	o.c.countExpired()
+	return true
 }
 
 // Get returns the live value at k. An expired entry is never returned:
 // it reads as a miss and is collected in passing.
-func (c *Cache[K, V]) Get(k K) (V, bool) { return c.get(c.m, k) }
-
-func (c *Cache[K, V]) get(v view[K, V], k K) (V, bool) {
-	now := c.now()
-	it, ok := v.Load(k)
-	if !ok {
-		c.countMiss()
-		var zv V
-		return zv, false
-	}
-	if dead(it, now) {
-		c.collect(v, k, it)
-		c.countMiss()
-		var zv V
-		return zv, false
+func (o *ops[K, V]) Get(k K) (v V, ok bool) {
+	now := o.c.now()
+	it := o.live(k, now)
+	if it == nil {
+		o.c.countMiss()
+		return v, false
 	}
 	it.access.Store(now)
-	c.countHit()
+	o.c.countHit()
 	return it.val, true
 }
 
 // Set stores ⟨k,v⟩ with the cache's default TTL (WithTTL; immortal if
 // none was configured).
-func (c *Cache[K, V]) Set(k K, v V) { c.SetTTL(k, v, c.set.TTL) }
+func (o *ops[K, V]) Set(k K, v V) { o.SetTTL(k, v, o.c.set.TTL) }
 
 // SetTTL stores ⟨k,v⟩ with an explicit time-to-live (ttl <= 0 =
 // immortal), replacing any previous entry and deadline.
-func (c *Cache[K, V]) SetTTL(k K, v V, ttl time.Duration) { c.setTTL(c.m, k, v, ttl) }
-
-func (c *Cache[K, V]) setTTL(v view[K, V], k K, val V, ttl time.Duration) {
-	now := c.now()
-	v.Store(k, newItem(val, now, ttl))
-	c.noteWrite(v, k, now)
+func (o *ops[K, V]) SetTTL(k K, v V, ttl time.Duration) {
+	now := o.c.now()
+	o.v.Store(k, newItem(v, now, deadline(now, ttl)))
+	o.noteWrite(k, now)
 }
 
 // SetExpiry stores ⟨k,v⟩ with an absolute expiry deadline (zero =
@@ -315,14 +341,10 @@ func (c *Cache[K, V]) setTTL(v view[K, V], k K, val V, ttl time.Duration) {
 // an upstream's Expires header. at is unix nanoseconds on the cache's
 // clock; a deadline already in the past stores an entry that is born
 // expired (never observable).
-func (c *Cache[K, V]) SetExpiry(k K, v V, at int64) { c.setExpiry(c.m, k, v, at) }
-
-func (c *Cache[K, V]) setExpiry(v view[K, V], k K, val V, at int64) {
-	now := c.now()
-	it := &item[V]{val: val, expiry: at}
-	it.access.Store(now)
-	v.Store(k, it)
-	c.noteWrite(v, k, now)
+func (o *ops[K, V]) SetExpiry(k K, v V, at int64) {
+	now := o.c.now()
+	o.v.Store(k, newItem(v, now, at))
+	o.noteWrite(k, now)
 }
 
 // Compute inserts ⟨k,d⟩ if k is absent or expired — stamping the
@@ -332,25 +354,17 @@ func (c *Cache[K, V]) setExpiry(v view[K, V], k K, val V, at int64) {
 // call inserted (or revived an expired entry). The closure may run
 // several times under contention; the map applies exactly its final
 // invocation.
-func (c *Cache[K, V]) Compute(k K, d V, up func(cur, d V) V) bool {
-	return c.compute(c.m, k, d, up)
-}
-
-func (c *Cache[K, V]) compute(v view[K, V], k K, d V, up func(cur, d V) V) bool {
-	now := c.now()
-	fresh := newItem(d, now, c.set.TTL)
+func (o *ops[K, V]) Compute(k K, d V, up func(cur, d V) V) bool {
+	now := o.c.now()
+	fresh := newItem(d, now, deadline(now, o.c.set.TTL))
 	revived := false
-	inserted := v.Compute(k, fresh, func(cur, _ *item[V]) *item[V] {
-		if dead(cur, now) {
-			revived = true
+	inserted := o.v.Compute(k, fresh, func(cur, _ *item[V]) *item[V] {
+		if revived = dead(cur, now); revived {
 			return fresh
 		}
-		revived = false
-		ni := &item[V]{val: up(cur.val, d), expiry: cur.expiry}
-		ni.access.Store(now)
-		return ni
+		return newItem(up(cur.val, d), now, cur.expiry)
 	})
-	c.noteWrite(v, k, now)
+	o.noteWrite(k, now)
 	return inserted || revived
 }
 
@@ -358,144 +372,70 @@ func (c *Cache[K, V]) compute(v view[K, V], k K, d V, up func(cur, d V) V) bool 
 // currently old (compared with ==, like the map's CompareAndSwap — old
 // must be of a comparable dynamic type or this panics). The entry keeps
 // its deadline. found distinguishes a value mismatch (found=true) from
-// an absent-or-expired key (found=false).
-func (c *Cache[K, V]) CompareAndSwap(k K, old, new V) (swapped, found bool) {
-	return c.compareAndSwap(c.m, k, old, new)
-}
-
-func (c *Cache[K, V]) compareAndSwap(v view[K, V], k K, old, new V) (swapped, found bool) {
+// an absent-or-expired key (found=false). A refusal writes nothing.
+func (o *ops[K, V]) CompareAndSwap(k K, old, new V) (swapped, found bool) {
 	_ = any(old) == any(old) // documented uncomparable-value panic
-	now := c.now()
-	// Steady-refusal fast path: decide absent/expired/mismatch from a
-	// plain read before touching Update. An Update whose closure returns
-	// cur unchanged still boxes that value and CASes the entry's pointer
-	// — an allocation and a write per refusal — so a hot mismatch loop
-	// must not reach the closure at all. The authoritative verdict for a
-	// *successful* swap remains the Update CAS below.
-	it, ok := v.Load(k)
-	if !ok {
-		return false, false
-	}
-	if dead(it, now) {
-		c.collect(v, k, it)
-		return false, false
-	}
-	if any(it.val) != any(old) {
-		return false, true
-	}
-	var expiredIt *item[V]
-	matched := false
-	applied := v.Update(k, nil, func(cur, _ *item[V]) *item[V] {
-		if dead(cur, now) {
-			expiredIt, matched = cur, false
-			return cur
-		}
-		expiredIt = nil
-		if any(cur.val) != any(old) {
-			matched = false
-			return cur
-		}
-		matched = true
-		ni := &item[V]{val: new, expiry: cur.expiry}
-		ni.access.Store(now)
-		return ni
-	})
-	if expiredIt != nil {
-		c.collect(v, k, expiredIt)
-	}
-	// Both conditions required, like the facade's casViaUpdate: the map
-	// reports applied=false when its CAS lost to a concurrent delete
-	// after the closure's final invocation — nothing was written then.
-	swapped = applied && matched
-	found = applied && expiredIt == nil
-	if swapped {
-		c.noteWrite(v, k, now)
-	}
-	return swapped, found
-}
-
-// CompareAndDelete removes k iff its live value is currently old
-// (compared with ==, like CompareAndSwap — old must be of a comparable
-// dynamic type or this panics). found distinguishes a value mismatch
-// (found=true) from an absent-or-expired key (found=false). The verdict
-// and the removal are one conditional delete on the stored item, so a
-// concurrent overwrite between them survives untouched.
-func (c *Cache[K, V]) CompareAndDelete(k K, old V) (deleted, found bool) {
-	return c.compareAndDelete(c.m, k, old)
-}
-
-func (c *Cache[K, V]) compareAndDelete(v view[K, V], k K, old V) (deleted, found bool) {
-	_ = any(old) == any(old) // documented uncomparable-value panic
-	now := c.now()
+	now := o.c.now()
 	for {
-		it, ok := v.Load(k)
-		if !ok {
-			return false, false
-		}
-		if dead(it, now) {
-			c.collect(v, k, it)
+		it := o.live(k, now)
+		if it == nil {
 			return false, false
 		}
 		if any(it.val) != any(old) {
 			return false, true
 		}
-		// The item pointer is the entry's version: deleting exactly it
-		// removes exactly the value that compared equal.
-		if v.CompareAndDelete(k, it) {
+		if o.v.CompareAndSwap(k, it, newItem(new, now, it.expiry)) {
+			o.noteWrite(k, now)
 			return true, true
 		}
-		// The entry changed underneath; re-examine the replacement.
+	}
+}
+
+// CompareAndDelete removes k iff its live value is currently old
+// (compared with ==, like CompareAndSwap — old must be of a comparable
+// dynamic type or this panics). found distinguishes a value mismatch
+// (found=true) from an absent-or-expired key (found=false). A
+// concurrent overwrite between verdict and removal survives untouched.
+func (o *ops[K, V]) CompareAndDelete(k K, old V) (deleted, found bool) {
+	_ = any(old) == any(old) // documented uncomparable-value panic
+	now := o.c.now()
+	for {
+		it := o.live(k, now)
+		if it == nil {
+			return false, false
+		}
+		if any(it.val) != any(old) {
+			return false, true
+		}
+		if o.v.CompareAndDelete(k, it) {
+			return true, true
+		}
 	}
 }
 
 // Expire re-deadlines the live entry at k to now+ttl (ttl <= 0 =
 // immortal). Returns false when k is absent or already expired — an
 // expired entry cannot be revived by Expire, only by a write.
-func (c *Cache[K, V]) Expire(k K, ttl time.Duration) bool { return c.expire(c.m, k, ttl) }
-
-func (c *Cache[K, V]) expire(v view[K, V], k K, ttl time.Duration) bool {
-	now := c.now()
-	// Same steady-refusal fast path as CompareAndSwap: absent and
-	// expired keys must not reach Update, which boxes and writes even
-	// what its closure returns unchanged.
-	it, ok := v.Load(k)
-	if !ok {
-		return false
-	}
-	if dead(it, now) {
-		c.collect(v, k, it)
-		return false
-	}
-	var expiredIt *item[V]
-	applied := v.Update(k, nil, func(cur, _ *item[V]) *item[V] {
-		if dead(cur, now) {
-			expiredIt = cur
-			return cur
+func (o *ops[K, V]) Expire(k K, ttl time.Duration) bool {
+	now := o.c.now()
+	for {
+		it := o.live(k, now)
+		if it == nil {
+			return false
 		}
-		expiredIt = nil
-		ni := &item[V]{val: cur.val, expiry: deadline(now, ttl)}
-		ni.access.Store(now)
-		return ni
-	})
-	if expiredIt != nil {
-		c.collect(v, k, expiredIt)
+		if o.v.CompareAndSwap(k, it, newItem(it.val, now, deadline(now, ttl))) {
+			return true
+		}
 	}
-	return applied && expiredIt == nil
 }
 
 // TTL returns the remaining time-to-live of the live entry at k.
 // ok is false when k is absent or expired; a live immortal entry
 // reports d < 0.
-func (c *Cache[K, V]) TTL(k K) (d time.Duration, ok bool) { return c.ttl(c.m, k) }
-
-func (c *Cache[K, V]) ttl(v view[K, V], k K) (d time.Duration, ok bool) {
-	now := c.now()
-	it, found := v.Load(k)
-	if !found {
-		return 0, false
-	}
-	if dead(it, now) {
-		c.collect(v, k, it)
+func (o *ops[K, V]) TTL(k K) (d time.Duration, ok bool) {
+	now := o.c.now()
+	it := o.live(k, now)
+	if it == nil {
 		return 0, false
 	}
 	if it.expiry == 0 {
@@ -505,19 +445,22 @@ func (c *Cache[K, V]) ttl(v view[K, V], k K) (d time.Duration, ok bool) {
 }
 
 // Delete removes k; true iff a live (non-expired) entry was removed.
-func (c *Cache[K, V]) Delete(k K) bool { return c.del(c.m, k) }
-
-func (c *Cache[K, V]) del(v view[K, V], k K) bool {
-	it, ok := v.LoadAndDelete(k)
+func (o *ops[K, V]) Delete(k K) bool {
+	it, ok := o.v.LoadAndDelete(k)
 	if !ok {
 		return false
 	}
-	if dead(it, c.now()) {
-		c.countExpired()
+	if dead(it, o.c.now()) {
+		o.c.countExpired()
 		return false
 	}
 	return true
 }
+
+// Len is the number of stored entries (live + not-yet-collected
+// expired): the generic route's exact count. It is handle-free on a
+// Session too.
+func (o *ops[K, V]) Len() uint64 { return o.c.m.ApproxSize() }
 
 // Range calls fn for every live entry until fn returns false. Expired
 // entries are skipped (never surfaced), not collected. Like every Range
@@ -537,32 +480,33 @@ func (c *Cache[K, V]) Range(fn func(k K, v V) bool) {
 
 // noteWrite records k in the sample ring and enforces the entry budget.
 // Called after every write that can grow the cache.
-func (c *Cache[K, V]) noteWrite(v view[K, V], k K, now int64) {
+func (o *ops[K, V]) noteWrite(k K, now int64) {
+	c := o.c
 	if c.ring == nil {
 		return
 	}
 	kp := new(K)
 	*kp = k
 	c.ring[c.ringPos.Add(1)&c.ringMask].Store(kp)
-	c.enforceBudget(v, now)
+	o.enforceBudget(now)
 }
 
 // enforceBudget evicts sampled-LRU entries while the cache is over its
 // entry budget, bounded per call so a single write never stalls on a
 // long purge (the sweeper keeps enforcing in the background).
-func (c *Cache[K, V]) enforceBudget(v view[K, V], now int64) {
-	max := c.set.MaxEntries
+func (o *ops[K, V]) enforceBudget(now int64) {
+	max := o.c.set.MaxEntries
 	if max == 0 {
 		return
 	}
 	var evicted uint64
-	for tries := 0; tries < maxEvictPerWrite && c.m.ApproxSize() > max; tries++ {
-		if c.evictOne(v, now) {
+	for tries := 0; tries < maxEvictPerWrite && o.Len() > max; tries++ {
+		if o.evictOne(now) {
 			evicted++
 		}
 	}
 	if evicted > 0 {
-		trace.Emit(trace.KindEvictStorm, evicted, c.m.ApproxSize(), max)
+		trace.Emit(trace.KindEvictStorm, evicted, o.Len(), max)
 	}
 }
 
@@ -572,7 +516,8 @@ func (c *Cache[K, V]) enforceBudget(v view[K, V], now int64) {
 // delete makes the decision safe: a candidate overwritten since
 // sampling is a different item and survives. Returns true if an entry
 // was removed.
-func (c *Cache[K, V]) evictOne(v view[K, V], now int64) bool {
+func (o *ops[K, V]) evictOne(now int64) bool {
+	c := o.c
 	// Seeds advance by 1, NOT by splitmix's own golden-ratio increment:
 	// a gamma-stride seed would make call n+1's probe sequence call n's
 	// shifted by one, so every eviction re-probes the same slots. Unit
@@ -586,13 +531,12 @@ func (c *Cache[K, V]) evictOne(v view[K, V], now int64) bool {
 		if kp == nil {
 			continue
 		}
-		it, ok := v.Load(*kp)
+		it, ok := o.v.Load(*kp)
 		if !ok {
 			continue
 		}
 		if dead(it, now) {
-			if v.CompareAndDelete(*kp, it) {
-				c.countExpired()
+			if o.collect(*kp, it) {
 				return true
 			}
 			continue
@@ -605,7 +549,7 @@ func (c *Cache[K, V]) evictOne(v view[K, V], now int64) bool {
 	if bestIt == nil {
 		return false
 	}
-	if v.CompareAndDelete(bestK, bestIt) {
+	if o.v.CompareAndDelete(bestK, bestIt) {
 		c.countEvicted()
 		return true
 	}
@@ -615,7 +559,7 @@ func (c *Cache[K, V]) evictOne(v view[K, V], now int64) bool {
 // ---------------------------------------------------------------------
 // Proactive expiry: the incremental background sweeper.
 
-// sweepLoop ticks SweepOnce until Close. It holds one cache Session for
+// sweepLoop ticks sweepOnce until Close. It holds one cache Session for
 // its whole life — the sweeper's conditional deletes ride a pinned
 // handle instead of borrowing from the pool every tick.
 func (c *Cache[K, V]) sweepLoop(every time.Duration) {
@@ -629,7 +573,7 @@ func (c *Cache[K, V]) sweepLoop(every time.Duration) {
 		case <-c.stop:
 			return
 		case <-t.C:
-			c.sweepOnce(s.v, defaultSweepBatch)
+			s.sweepOnce(defaultSweepBatch)
 		}
 	}
 }
@@ -642,20 +586,18 @@ func (c *Cache[K, V]) sweepLoop(every time.Duration) {
 // — the cursor resumes instead of re-skipping the prefix. Concurrent
 // writers may be partially observed — the walk is best-effort;
 // correctness is carried by the lazy read path.
-func (c *Cache[K, V]) SweepOnce(budget int) int { return c.sweepOnce(c.m, budget) }
+func (c *Cache[K, V]) SweepOnce(budget int) int { return c.sweepOnce(budget) }
 
-func (c *Cache[K, V]) sweepOnce(v view[K, V], budget int) int {
+func (o *ops[K, V]) sweepOnce(budget int) int {
+	c := o.c
 	now := c.now()
 	seen := 0
 	removed := 0
 	c.sweepMu.Lock()
 	next, _ := c.m.RangeFrom(c.sweepCur, func(k K, it *item[V]) bool {
 		seen++
-		if dead(it, now) {
-			if v.CompareAndDelete(k, it) {
-				c.countExpired()
-				removed++
-			}
+		if dead(it, now) && o.collect(k, it) {
+			removed++
 		}
 		return seen < budget
 	})
@@ -670,24 +612,24 @@ func (c *Cache[K, V]) sweepOnce(v view[K, V], budget int) int {
 	if seen > 0 {
 		trace.Emit(trace.KindSweepSlice, uint64(seen), uint64(removed), 0)
 	}
-	c.enforceBudget(v, now)
+	o.enforceBudget(now)
 	c.sweeps.Add(1)
 	obsSweeps.Add(1)
 	return removed
 }
 
 // ---------------------------------------------------------------------
-// Session: a pinned-handle view of the cache.
+// Session: the same operations on a pinned handle.
 
 // Session is a pinned-handle view of a Cache: it borrows one pooled map
-// handle at creation and reuses it for every operation until Close,
-// mirroring the whole Cache surface without a per-op acquire and release.
-// Like the map sessions it wraps, a Session must not be used
-// concurrently — create one per connection or worker loop and Close it
-// when done. Operations on a closed Session panic.
+// handle at creation and runs every operation of the Cache on it until
+// Close, without a per-op acquire and release. Like the map session it
+// pins, a Session must not be used concurrently — create one per
+// connection or worker loop and Close it when done. Operations on a
+// closed Session panic.
 type Session[K comparable, V any] struct {
-	c *Cache[K, V]
-	v *growt.Session[K, *item[V]]
+	ops[K, V]
+	pin *growt.Session[K, *item[V]]
 }
 
 // NewSession pins one pooled map handle into a Session view. Callers
@@ -697,54 +639,10 @@ type Session[K comparable, V any] struct {
 //growt:acquires Close
 //growt:exclusive -- ownership transfer: the pinned map session is released by Session.Close, not here
 func (c *Cache[K, V]) NewSession() *Session[K, V] {
-	return &Session[K, V]{c: c, v: c.m.Session()}
+	pin := c.m.Session()
+	return &Session[K, V]{ops: ops[K, V]{c: c, v: pin}, pin: pin}
 }
 
 // Close gives the pinned handle back to the map's idle handles. Close
 // is idempotent; the Session is unusable afterwards.
-func (s *Session[K, V]) Close() { s.v.Close() }
-
-// Get returns the live value at k (see Cache.Get).
-func (s *Session[K, V]) Get(k K) (V, bool) { return s.c.get(s.v, k) }
-
-// Set stores ⟨k,v⟩ with the cache's default TTL (see Cache.Set).
-func (s *Session[K, V]) Set(k K, v V) { s.SetTTL(k, v, s.c.set.TTL) }
-
-// SetTTL stores ⟨k,v⟩ with an explicit time-to-live (see Cache.SetTTL).
-func (s *Session[K, V]) SetTTL(k K, v V, ttl time.Duration) { s.c.setTTL(s.v, k, v, ttl) }
-
-// SetExpiry stores ⟨k,v⟩ with an absolute expiry deadline (see
-// Cache.SetExpiry).
-func (s *Session[K, V]) SetExpiry(k K, v V, at int64) { s.c.setExpiry(s.v, k, v, at) }
-
-// Compute inserts or atomically updates k (see Cache.Compute).
-func (s *Session[K, V]) Compute(k K, d V, up func(cur, d V) V) bool {
-	return s.c.compute(s.v, k, d, up)
-}
-
-// CompareAndSwap replaces the live value of k with new iff it is
-// currently old (see Cache.CompareAndSwap).
-func (s *Session[K, V]) CompareAndSwap(k K, old, new V) (swapped, found bool) {
-	return s.c.compareAndSwap(s.v, k, old, new)
-}
-
-// CompareAndDelete removes k iff its live value is currently old (see
-// Cache.CompareAndDelete).
-func (s *Session[K, V]) CompareAndDelete(k K, old V) (deleted, found bool) {
-	return s.c.compareAndDelete(s.v, k, old)
-}
-
-// Expire re-deadlines the live entry at k (see Cache.Expire).
-func (s *Session[K, V]) Expire(k K, ttl time.Duration) bool { return s.c.expire(s.v, k, ttl) }
-
-// TTL returns the remaining time-to-live of the live entry at k (see
-// Cache.TTL).
-func (s *Session[K, V]) TTL(k K) (d time.Duration, ok bool) { return s.c.ttl(s.v, k) }
-
-// Delete removes k (see Cache.Delete).
-func (s *Session[K, V]) Delete(k K) bool { return s.c.del(s.v, k) }
-
-// Len reports the cache's stored entry count (see Cache.Len). The count
-// is handle-free, so this neither uses nor needs the session's pinned
-// handle.
-func (s *Session[K, V]) Len() uint64 { return s.c.Len() }
+func (s *Session[K, V]) Close() { s.pin.Close() }

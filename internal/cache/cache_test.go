@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -131,7 +132,7 @@ func TestStaleCollectNeverResurrectsOrKills(t *testing.T) {
 	clk.advance(time.Hour) // "old" is long expired
 	c.SetTTL(1, "fresh", 0)
 
-	c.collect(c.m, 1, stale) // the stalled sweeper finally fires
+	c.collect(1, stale) // the stalled sweeper finally fires
 	if v, okg := c.Get(1); !okg || v != "fresh" {
 		t.Fatalf("stale collect disturbed the fresh entry: %q, %v", v, okg)
 	}
@@ -144,7 +145,7 @@ func TestStaleCollectNeverResurrectsOrKills(t *testing.T) {
 	c.SetTTL(2, "old", 10*time.Millisecond)
 	it2, _ := c.m.Load(2)
 	clk.advance(time.Hour)
-	c.collect(c.m, 2, it2)
+	c.collect(2, it2)
 	if _, okg := c.m.Load(2); okg {
 		t.Fatal("expired entry survived its collect")
 	}
@@ -259,6 +260,19 @@ func TestExpireAndTTL(t *testing.T) {
 	}
 	if _, ok := c.TTL(2); ok {
 		t.Fatal("ttl of an expired entry reported ok")
+	}
+	// A TTL that reaches past the end of the clock (the wire saturates
+	// SETEX/EXPIRE to one) means "never": the deadline saturates, it does
+	// not wrap into the past.
+	c.SetTTL(3, "v", math.MaxInt64)
+	if v, ok := c.Get(3); !ok || v != "v" {
+		t.Fatalf("entry with a saturating ttl born expired: %q, %v", v, ok)
+	}
+	if !c.Expire(1, math.MaxInt64) {
+		t.Fatal("expire with a saturating ttl refused a live key")
+	}
+	if d, ok := c.TTL(1); !ok || d <= 0 {
+		t.Fatalf("expire with a saturating ttl killed a live key: ttl %v, %v", d, ok)
 	}
 }
 
@@ -418,5 +432,47 @@ func TestBackgroundSweeper(t *testing.T) {
 	}
 	if st := c.Stats(); st.Expired != 50 || st.Sweeps == 0 {
 		t.Fatalf("stats after background sweep = %+v", st)
+	}
+}
+
+// TestCacheAllocs pins what an operation on a present key allocates. A
+// read and a refused conditional write allocate nothing, through the
+// handle-free Cache and through a Session; a conditional write that
+// succeeds allocates the new item and the map's box around its pointer,
+// nothing else.
+func TestCacheAllocs(t *testing.T) {
+	clk := newFakeClock()
+	c := newTestCache[string, string](clk)
+	defer c.Close()
+	s := c.NewSession()
+	defer s.Close()
+	c.Set("key", "v0")
+	cur := "v0"
+	for _, tc := range []struct {
+		name string
+		max  float64
+		op   func()
+	}{
+		{"Cache.Get", 0, func() { c.Get("key") }},
+		{"Session.Get", 0, func() { s.Get("key") }},
+		{"refused Cache.CompareAndSwap", 0, func() { c.CompareAndSwap("key", "other", "v1") }},
+		{"refused Session.CompareAndSwap", 0, func() { s.CompareAndSwap("key", "other", "v1") }},
+		{"refused CompareAndDelete", 0, func() { s.CompareAndDelete("key", "other") }},
+		{"absent Expire", 0, func() { s.Expire("absent", time.Hour) }},
+		{"successful CompareAndSwap", 2, func() {
+			next := "v1"
+			if cur == "v1" {
+				next = "v0"
+			}
+			if swapped, _ := s.CompareAndSwap("key", cur, next); !swapped {
+				t.Fatal("CompareAndSwap refused the current value")
+			}
+			cur = next
+		}},
+		{"Expire", 2, func() { s.Expire("key", time.Hour) }},
+	} {
+		if got := testing.AllocsPerRun(1000, tc.op); got > tc.max {
+			t.Errorf("%s: %v allocs/op, want at most %v", tc.name, got, tc.max)
+		}
 	}
 }

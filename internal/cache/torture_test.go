@@ -275,6 +275,104 @@ func TestCacheTortureChurnBounded(t *testing.T) {
 	}
 }
 
+// TestCacheTortureSwapVersusExpire races the cache's two item-replacing
+// conditional writes on the same keys, over a table that keeps
+// migrating: bumpers count up through a Get/CompareAndSwap retry loop,
+// half on the handle-free Cache and half on a Session, while expirers
+// re-deadline the same keys, every call to a TTL of its own. Both are
+// the same loop on the item pointer, so neither may undo the other: a
+// counter ends at exactly the number of swaps that reported success, no
+// key is ever seen absent, and a key's final deadline is the last one
+// some expirer wrote to it — a swap carries the deadline it found, so it
+// can only pass an Expire's deadline on, never an older one.
+func TestCacheTortureSwapVersusExpire(t *testing.T) {
+	rounds := 4000
+	if testing.Short() {
+		rounds = 500
+	}
+	const keys, bumpers, expirers = 4, 4, 2
+	clk := newFakeClock() // never advanced: an entry's TTL reads back as written
+	c := newTestCache[uint64, int64](clk, growt.WithCapacity(8))
+	defer c.Close()
+	for k := uint64(0); k < keys; k++ {
+		c.SetTTL(k, 0, time.Hour)
+	}
+
+	var stop atomic.Bool
+	var fillWG, wg sync.WaitGroup
+	fillWG.Add(1)
+	go func() { // keeps the table growing under the races
+		defer fillWG.Done()
+		for k := uint64(1 << 20); !stop.Load(); k++ {
+			c.Set(k, 0)
+		}
+	}()
+
+	var wins [keys]atomic.Int64
+	for b := 0; b < bumpers; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			get, cas := c.Get, c.CompareAndSwap
+			if b%2 == 1 {
+				s := c.NewSession()
+				defer s.Close()
+				get, cas = s.Get, s.CompareAndSwap
+			}
+			for i := 0; i < rounds; i++ {
+				k := uint64(i+b) % keys
+				v, ok := get(k)
+				swapped, found := cas(k, v, v+1)
+				if !ok || !found {
+					t.Errorf("key %d seen absent (get %v, swap found %v)", k, ok, found)
+					return
+				}
+				if swapped {
+					wins[k].Add(1)
+				}
+			}
+		}(b)
+	}
+	var last [expirers][keys]time.Duration // the TTL each expirer wrote last
+	for e := 0; e < expirers; e++ {
+		wg.Add(1)
+		go func(e int) {
+			defer wg.Done()
+			s := c.NewSession()
+			defer s.Close()
+			for i := 0; i < rounds; i++ {
+				k := uint64(i) % keys
+				ttl := 2*time.Hour + time.Duration(i*expirers+e)
+				if !s.Expire(k, ttl) {
+					t.Errorf("Expire refused live key %d", k)
+					return
+				}
+				last[e][k] = ttl
+			}
+		}(e)
+	}
+	wg.Wait()
+	stop.Store(true)
+	fillWG.Wait()
+
+	if c.Generation() == 0 {
+		t.Fatal("no migration ran")
+	}
+	for k := uint64(0); k < keys; k++ {
+		if v, ok := c.Get(k); !ok || v != wins[k].Load() {
+			t.Errorf("key %d = %d, %v after %d successful swaps", k, v, ok, wins[k].Load())
+		}
+		d, _ := c.TTL(k)
+		written := false
+		for e := range last {
+			written = written || d == last[e][k]
+		}
+		if !written {
+			t.Errorf("key %d ends with ttl %v, which no expirer wrote last (%v, %v)", k, d, last[0][k], last[1][k])
+		}
+	}
+}
+
 // testRNG is a tiny splitmix64 so torture goroutines need no locking.
 type testRNG struct{ s uint64 }
 

@@ -323,6 +323,48 @@ func TestSubMillisecondTTLRoundsUp(t *testing.T) {
 	}
 }
 
+// TestSaturatingTTLOverWire: the wire carries a TTL as a u64 of
+// milliseconds, so a client may send one far past the end of the cache's
+// nanosecond clock. The server saturates it, and the cache must read the
+// saturated duration as "never" — not as a deadline that wrapped into
+// the past, which stored the SETEX born expired and had EXPIRE kill the
+// key it was asked to keep.
+func TestSaturatingTTLOverWire(t *testing.T) {
+	_, addr := startCacheServer(t, server.Options{})
+	cl, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	raw := dialRaw(t, addr)
+	const ttl = ^uint64(0) >> 1
+	send := func(what string, id uint64, kind byte, fields ...[]byte) {
+		t.Helper()
+		f := server.BeginFrame(nil, id, kind)
+		for _, b := range fields {
+			f = server.AppendBytes(f, b)
+		}
+		raw.send(server.EndFrame(server.AppendUint64(f, ttl), 0))
+		if _, status, _, err := raw.read(); err != nil || status != server.StatusOK {
+			t.Fatalf("%s with ttl %d: status %#x, %v", what, ttl, status, err)
+		}
+	}
+	live := func(after string, key string) {
+		t.Helper()
+		if v, ok, err := cl.Get([]byte(key)); err != nil || !ok || string(v) != "v" {
+			t.Fatalf("after %s: get = %q, %v, %v", after, v, ok, err)
+		}
+		if d, ok, err := cl.TTL([]byte(key)); err != nil || !ok || d <= 0 {
+			t.Fatalf("after %s: ttl = %v, %v, %v", after, d, ok, err)
+		}
+	}
+	send("SETEX", 1, server.OpSetEx, []byte("born"), []byte("v"))
+	live("SETEX", "born")
+	cl.Set([]byte("kept"), []byte("v"))
+	send("EXPIRE", 2, server.OpExpire, []byte("kept"))
+	live("EXPIRE", "kept")
+}
+
 // TestEvictionOverWire: a growd-style entry budget holds under a wire
 // workload and surfaces through the evicted counter.
 func TestEvictionOverWire(t *testing.T) {

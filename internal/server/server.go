@@ -80,17 +80,6 @@ type Stats struct {
 	Misses  uint64 `json:"misses"`
 	Expired uint64 `json:"expired"`
 	Evicted uint64 `json:"evicted"`
-
-	// Sweeper gauges, also sourced from the cache layer: the cumulative
-	// entry visit/removal counts of the background expiry sweeper plus
-	// the per-tick figures of its most recent pass. A healthy cursor
-	// sweeper visits each entry about once per full cycle — visited
-	// growing quadratically in the table size is the bug these exist to
-	// catch.
-	SweepVisited     uint64 `json:"sweep_visited"`
-	SweepRemoved     uint64 `json:"sweep_removed"`
-	LastSweepVisited uint64 `json:"last_sweep_visited"`
-	LastSweepRemoved uint64 `json:"last_sweep_removed"`
 }
 
 // metrics holds the server's obs instruments, registered once at New.
@@ -197,11 +186,6 @@ func (s *Server) Stats() Stats {
 		Misses:        cs.Misses,
 		Expired:       cs.Expired,
 		Evicted:       cs.Evicted,
-
-		SweepVisited:     cs.SweepVisited,
-		SweepRemoved:     cs.SweepRemoved,
-		LastSweepVisited: cs.LastSweepVisited,
-		LastSweepRemoved: cs.LastSweepRemoved,
 	}
 }
 

@@ -376,16 +376,18 @@ func (m *Map[K, V]) Update(k K, d V, up func(cur, d V) V) (updated bool) {
 	return h.h.update(k, d, up)
 }
 
-// Session is a pinned-handle view of a Map: it borrows one pooled
-// handle at creation and reuses it for every operation until Close,
-// sparing each operation the handle-free methods' acquire and release.
-// Like a Handle, a Session must not be used concurrently — create one
-// per goroutine (typically one per connection or worker loop) and
-// Close it when done, or the map makes a handle in its place and keeps
-// both for good. Operations on a closed Session panic.
+// Session is its pinned Handle: it borrows one pooled handle at creation
+// and is that handle until Close — every Handle method is a Session
+// method — sparing each operation the handle-free methods' acquire and
+// release. On top it spells the four sync.Map-shaped names the Map has
+// and a Handle lacks. Like a Handle, a Session must not be used
+// concurrently — create one per goroutine (typically one per connection
+// or worker loop) and Close it when done, or the map makes a handle in
+// its place and keeps both for good. Operations on a closed Session
+// panic: its Handle is nil.
 type Session[K comparable, V any] struct {
+	*Handle[K, V]
 	m *Map[K, V]
-	h *Handle[K, V]
 }
 
 // Session borrows a pooled handle and pins it into a Session view.
@@ -395,71 +397,34 @@ type Session[K comparable, V any] struct {
 //growt:acquires Close
 //growt:exclusive -- ownership transfer: the borrowed handle is released by Session.Close, not here
 func (m *Map[K, V]) Session() *Session[K, V] {
-	return &Session[K, V]{m: m, h: m.acquire()}
+	return &Session[K, V]{Handle: m.acquire(), m: m}
 }
 
 // Close gives the pinned handle back to the map's idle handles. Close
 // is idempotent; the Session is unusable afterwards.
 func (s *Session[K, V]) Close() {
-	if s.h != nil {
-		s.m.release(s.h)
-		s.h = nil
+	if s.Handle != nil {
+		s.m.release(s.Handle)
+		s.Handle = nil
 	}
-}
-
-// handle returns the pinned handle, panicking on use-after-Close.
-func (s *Session[K, V]) handle() *Handle[K, V] {
-	if s.h == nil {
-		panic("growt: use of closed Session")
-	}
-	return s.h
 }
 
 // Load returns the value stored at k (see Map.Load).
-func (s *Session[K, V]) Load(k K) (V, bool) { return s.handle().Find(k) }
+func (s *Session[K, V]) Load(k K) (V, bool) { return s.Find(k) }
 
 // Store sets the value for k, inserting or overwriting (see Map.Store).
-func (s *Session[K, V]) Store(k K, v V) {
-	s.handle().InsertOrUpdate(k, v, s.m.replace)
-}
+func (s *Session[K, V]) Store(k K, v V) { s.InsertOrUpdate(k, v, s.m.replace) }
 
 // LoadOrStore returns the existing value for k if present; otherwise it
 // stores and returns v (see Map.LoadOrStore).
 func (s *Session[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
-	return loadOrStore(s.handle(), k, v)
+	return loadOrStore(s.Handle, k, v)
 }
 
 // Compute inserts ⟨k,d⟩ if absent, else atomically replaces the value
 // with up(current, d) (see Map.Compute).
 func (s *Session[K, V]) Compute(k K, d V, up func(cur, d V) V) bool {
-	return s.handle().InsertOrUpdate(k, d, up)
-}
-
-// Delete removes k; true iff k was present (see Map.Delete).
-func (s *Session[K, V]) Delete(k K) bool { return s.handle().Delete(k) }
-
-// LoadAndDelete removes k and returns the value it held (see
-// Map.LoadAndDelete).
-func (s *Session[K, V]) LoadAndDelete(k K) (value V, loaded bool) {
-	return s.handle().LoadAndDelete(k)
-}
-
-// CompareAndSwap replaces the value of k with new iff it is currently
-// old (see Map.CompareAndSwap).
-func (s *Session[K, V]) CompareAndSwap(k K, old, new V) bool {
-	return s.handle().CompareAndSwap(k, old, new)
-}
-
-// CompareAndDelete removes k iff its value is currently old (see
-// Map.CompareAndDelete).
-func (s *Session[K, V]) CompareAndDelete(k K, old V) bool {
-	return s.handle().CompareAndDelete(k, old)
-}
-
-// Update atomically changes the value of k to up(current, d) (see
-// Map.Update).
-func (s *Session[K, V]) Update(k K, d V, up func(cur, d V) V) bool {
-	return s.handle().Update(k, d, up)
+	return s.InsertOrUpdate(k, d, up)
 }
 
 // Number collects the types usable with Add.

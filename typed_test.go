@@ -759,6 +759,48 @@ func TestSessionsBeyondPoolCap(t *testing.T) {
 	}
 }
 
+// TestSessionUseAfterClosePanics: a closed Session has given its handle
+// back, and another holder may have it by now — every operation, the
+// Session's own and the Handle's it promotes, must panic at the call
+// rather than run on it. Close itself stays idempotent.
+func TestSessionUseAfterClosePanics(t *testing.T) {
+	m := growt.New[string, int]()
+	defer m.Close()
+	m.Store("k", 1)
+	s := m.Session()
+	if v, ok := s.Load("k"); !ok || v != 1 {
+		t.Fatalf("open Session: Load = %d, %v", v, ok)
+	}
+	s.Close()
+	s.Close()
+	for name, op := range map[string]func(){
+		"Load":             func() { s.Load("k") },
+		"Store":            func() { s.Store("k", 2) },
+		"LoadOrStore":      func() { s.LoadOrStore("k", 2) },
+		"Compute":          func() { s.Compute("k", 1, growt.Add[int]) },
+		"Find":             func() { s.Find("k") },
+		"Insert":           func() { s.Insert("k2", 2) },
+		"Update":           func() { s.Update("k", 1, growt.Add[int]) },
+		"InsertOrUpdate":   func() { s.InsertOrUpdate("k", 1, growt.Add[int]) },
+		"Delete":           func() { s.Delete("k") },
+		"LoadAndDelete":    func() { s.LoadAndDelete("k") },
+		"CompareAndSwap":   func() { s.CompareAndSwap("k", 1, 2) },
+		"CompareAndDelete": func() { s.CompareAndDelete("k", 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a closed Session did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
+	if v, ok := m.Load("k"); !ok || v != 1 {
+		t.Fatalf("a closed Session's operation went through: k = %d, %v", v, ok)
+	}
+}
+
 // TestFacadeAllocs pins what an operation on a present key allocates: on
 // the generic route — a string key, or an integer key with a wide value —
 // nothing for a Load and the boxed value for a Store, on the word route
