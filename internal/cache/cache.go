@@ -12,18 +12,26 @@
 //     tombstones it via CompareAndDelete and reports a miss — an expired
 //     value is never returned, even against a racing overwrite (the
 //     conditional delete removes exactly the expired item or nothing);
-//   - proactively by an incremental background sweeper that resumes a
-//     RangeFrom cursor each tick, examining at most its batch of
-//     entries, so a full cycle over n entries does O(n) callback work
-//     (the cursor eliminates the former restart-from-zero skip-walk).
+//   - proactively by an incremental background sweeper. Each tick first
+//     clears the expired front: the map's walk runs in write order, so
+//     under one TTL whatever has expired sits before the first live
+//     entries, and a walk from the start collects it until it meets its
+//     batch of live entries (or 16 batches of visits). Then it resumes a
+//     RangeFrom cursor for one batch of entries, so entries behind a
+//     live front (mixed TTLs) are reached too and a full cycle over n
+//     entries does O(n) callback work.
 //
 // Bounded memory is Redis-style sampled approximate-LRU: writes record
-// their key in a lock-free sample ring; when ApproxSize exceeds the
-// configured entry budget, the writer samples a handful of ring slots
-// and CompareAndDeletes the least-recently-accessed live candidate. A
-// candidate that was concurrently overwritten survives (the conditional
-// delete sees a different item), so eviction can never lose a fresh
-// write.
+// the item they stored in a lock-free sample ring; when ApproxSize
+// exceeds the configured entry budget, the writer samples a handful of
+// ring slots, reads each candidate's deadline and access clock from the
+// item itself, and CompareAndDeletes the least-recently-accessed live
+// one — the only map operation an eviction makes. A candidate that was
+// concurrently overwritten survives (the conditional delete sees a
+// different item), so eviction can never lose a fresh write. Eviction
+// clears the slot of every item it removed or found stale; an item that
+// a read or the sweeper collected is marked gone instead, and the
+// sampler clears its slot without asking the map.
 //
 // Two access disciplines are offered, mirroring the typed map's, over
 // one operation set: every operation is written once, as a method of
@@ -57,12 +65,22 @@
 // type: an evicted or expired entry gives everything back — value and key
 // to the GC, hash cell to the core's next cleanup migration, chain entry
 // to an arena page released when all its entries are — so memory follows
-// the budget however many keys pass through. The sweeper visits at most its
-// batch of entries per tick and resumes where it stopped; a cursor
-// invalidated by a table migration restarts from the front, so a cycle
-// spanning a migration may re-visit entries (never skip stable ones).
-// The eviction sample ring covers min(budget rounded up, 2^22) recent
-// writes — budgets beyond that get window-LRU over the newest writes.
+// the budget however many keys pass through. An item carries its key so
+// that the sample ring can hold items, not copies of keys: 16 B more per
+// entry for a string key, budgeted or not (a string item moves from the
+// 32 B to the 48 B size class), though only a budgeted cache's ring reads
+// it. The ring keeps the items it holds reachable, values included,
+// until their slots are overwritten or cleared. It has the budget rounded
+// up to a power of two slots, so a budgeted cache keeps at most twice its
+// budget of dead or replaced items reachable beyond its live entries. A
+// sweep tick
+// visits at most 16 batches of entries at the front, where it stops at
+// the first batch of live ones, plus one batch behind its cursor; a
+// cursor invalidated by a table migration restarts from the front, so a
+// cycle spanning a migration may re-visit entries (never skip stable
+// ones). The eviction sample ring covers min(budget rounded up, 2^22)
+// recent writes — budgets beyond that get window-LRU over the newest
+// writes.
 package cache
 
 import (
@@ -80,23 +98,30 @@ const (
 	// defaultSweepInterval paces the background sweeper when
 	// WithSweepInterval is not given.
 	defaultSweepInterval = time.Second
-	// defaultSweepBatch bounds the entries one sweep tick examines; the
-	// resumable cursor makes a full cycle O(n) regardless, so the batch
-	// only trades tick count against tick length.
+	// defaultSweepBatch bounds the live entries one sweep tick examines
+	// at the front and behind its cursor; the resumable cursor makes a
+	// full cycle O(n) regardless, so the batch only trades tick count
+	// against tick length.
 	defaultSweepBatch = 1024
+	// frontReach caps the front pass at frontReach batches of visits, so
+	// a tick stays bounded however much expired at once.
+	frontReach = 16
 	// evictSamples is the Redis-style sample width: candidates examined
 	// per eviction decision.
 	evictSamples = 5
 	// maxEvictPerWrite bounds how many evictions one write performs when
 	// the cache is over budget, so no single SET stalls on a long purge.
 	maxEvictPerWrite = 8
-	// minRing/maxRing clamp the eviction sample ring (slots, power of 2).
-	// The ring must cover the entry budget or eviction degrades toward
-	// approximate-MRU: keys whose slots were overwritten become
-	// invisible to sampling, leaving only recent writes evictable. 2^22
-	// slots (32 MiB of pointers) covers budgets up to ~4M entries;
-	// larger budgets get ring-window LRU over the newest 4M writes.
-	minRing = 1 << 10
+	// minRing/maxRing clamp the eviction sample ring (slots, power of 2),
+	// which is the entry budget rounded up. The ring must cover the
+	// budget or eviction degrades toward approximate-MRU: keys whose slots
+	// were overwritten become invisible to sampling, leaving only recent
+	// writes evictable. It must not be much larger either, since it keeps
+	// the items it holds reachable. Two slots at least, so a write's own
+	// item is not the only candidate. 2^22 slots (32 MiB of pointers)
+	// covers budgets up to ~4M entries; larger budgets get ring-window LRU
+	// over the newest 4M writes.
+	minRing = 2
 	maxRing = 1 << 22
 )
 
@@ -108,8 +133,24 @@ const (
 type item[V any] struct {
 	val    V
 	expiry int64        // unix nanos; 0 = immortal
-	access atomic.Int64 // unix nanos of the last touch (sampled-LRU clock)
+	access atomic.Int64 // unix nanos of the last touch (sampled-LRU clock), or gone
 }
+
+// keyed is how an item is allocated: with its key beside it. The map
+// stores &kd.item and the sample ring holds kd, so eviction can name the
+// entry it picked without asking the map for it.
+type keyed[K comparable, V any] struct {
+	item[V]
+	key K
+}
+
+// gone is the access clock of an item collected by collect, whose
+// callers do not know its ring slot. An item pointer is stored once, so
+// such an item is never the entry again: the sampler skips it and clears
+// its slot. Any other item that stopped being the entry stays in the
+// ring until the sampler picks it, its conditional delete is refused,
+// and its slot is cleared.
+const gone = math.MinInt64
 
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
@@ -141,11 +182,10 @@ type Cache[K comparable, V any] struct {
 	now func() int64 // clock, unix nanos; swappable for deterministic tests
 
 	// ring is the eviction sample pool: a lock-free buffer of recently
-	// written keys that evictOne samples uniformly. Slots hold *K so
-	// concurrent record/sample stay race-free; stale slots (keys since
-	// removed) are skipped at sampling time. nil when unbounded.
+	// stored items that evictOne samples uniformly, clearing the slots of
+	// items that are gone or no longer the entry. nil when unbounded.
 	//growt:atomic
-	ring     []atomic.Pointer[K]
+	ring     []atomic.Pointer[keyed[K, V]]
 	ringMask uint64
 	ringPos  atomic.Uint64
 	seed     atomic.Uint64 // sampling stream selector
@@ -187,7 +227,7 @@ func newCache[K comparable, V any](now func() int64, opts ...growt.Option) *Cach
 		for size < c.set.MaxEntries && size < maxRing {
 			size <<= 1
 		}
-		c.ring = make([]atomic.Pointer[K], size)
+		c.ring = make([]atomic.Pointer[keyed[K, V]], size)
 		c.ringMask = size - 1
 		c.seed.Store(0x9E3779B97F4A7C15)
 	}
@@ -257,9 +297,9 @@ func dead[V any](it *item[V], now int64) bool {
 	return it.expiry != 0 && now >= it.expiry
 }
 
-// newItem builds a fresh entry with its access clock primed.
-func newItem[V any](v V, now, expiry int64) *item[V] {
-	it := &item[V]{val: v, expiry: expiry}
+// newItem builds a fresh entry for k with its access clock primed.
+func newItem[K comparable, V any](k K, v V, now, expiry int64) *keyed[K, V] {
+	it := &keyed[K, V]{item: item[V]{val: v, expiry: expiry}, key: k}
 	it.access.Store(now)
 	return it
 }
@@ -301,13 +341,14 @@ func (o *ops[K, V]) live(k K, now int64) *item[V] {
 // collect removes the expired item it from k if it is still the stored
 // entry. The conditional delete is what makes the race against writers
 // safe: if anything replaced it, the delete refuses and the replacement
-// survives untouched.
+// survives untouched. Either way it is no longer the entry: it is gone.
 func (o *ops[K, V]) collect(k K, it *item[V]) bool {
-	if !o.v.CompareAndDelete(k, it) {
-		return false
+	ok := o.v.CompareAndDelete(k, it)
+	it.access.Store(gone)
+	if ok {
+		o.c.countExpired()
 	}
-	o.c.countExpired()
-	return true
+	return ok
 }
 
 // Get returns the live value at k. An expired entry is never returned:
@@ -332,8 +373,9 @@ func (o *ops[K, V]) Set(k K, v V) { o.SetTTL(k, v, o.c.set.TTL) }
 // immortal), replacing any previous entry and deadline.
 func (o *ops[K, V]) SetTTL(k K, v V, ttl time.Duration) {
 	now := o.c.now()
-	o.v.Store(k, newItem(v, now, deadline(now, ttl)))
-	o.noteWrite(k, now)
+	it := newItem(k, v, now, deadline(now, ttl))
+	o.v.Store(k, &it.item)
+	o.noteWrite(it, now)
 }
 
 // SetExpiry stores ⟨k,v⟩ with an absolute expiry deadline (zero =
@@ -343,8 +385,9 @@ func (o *ops[K, V]) SetTTL(k K, v V, ttl time.Duration) {
 // expired (never observable).
 func (o *ops[K, V]) SetExpiry(k K, v V, at int64) {
 	now := o.c.now()
-	o.v.Store(k, newItem(v, now, at))
-	o.noteWrite(k, now)
+	it := newItem(k, v, now, at)
+	o.v.Store(k, &it.item)
+	o.noteWrite(it, now)
 }
 
 // Compute inserts ⟨k,d⟩ if k is absent or expired — stamping the
@@ -356,15 +399,21 @@ func (o *ops[K, V]) SetExpiry(k K, v V, at int64) {
 // invocation.
 func (o *ops[K, V]) Compute(k K, d V, up func(cur, d V) V) bool {
 	now := o.c.now()
-	fresh := newItem(d, now, deadline(now, o.c.set.TTL))
+	fresh := newItem(k, d, now, deadline(now, o.c.set.TTL))
 	revived := false
-	inserted := o.v.Compute(k, fresh, func(cur, _ *item[V]) *item[V] {
+	next := fresh // the item the applied invocation stored
+	inserted := o.v.Compute(k, &fresh.item, func(cur, _ *item[V]) *item[V] {
 		if revived = dead(cur, now); revived {
-			return fresh
+			next = fresh
+		} else {
+			next = newItem(k, up(cur.val, d), now, cur.expiry)
 		}
-		return newItem(up(cur.val, d), now, cur.expiry)
+		return &next.item
 	})
-	o.noteWrite(k, now)
+	if inserted {
+		next = fresh
+	}
+	o.noteWrite(next, now)
 	return inserted || revived
 }
 
@@ -384,8 +433,8 @@ func (o *ops[K, V]) CompareAndSwap(k K, old, new V) (swapped, found bool) {
 		if any(it.val) != any(old) {
 			return false, true
 		}
-		if o.v.CompareAndSwap(k, it, newItem(new, now, it.expiry)) {
-			o.noteWrite(k, now)
+		if nw := newItem(k, new, now, it.expiry); o.v.CompareAndSwap(k, it, &nw.item) {
+			o.noteWrite(nw, now)
 			return true, true
 		}
 	}
@@ -423,7 +472,8 @@ func (o *ops[K, V]) Expire(k K, ttl time.Duration) bool {
 		if it == nil {
 			return false
 		}
-		if o.v.CompareAndSwap(k, it, newItem(it.val, now, deadline(now, ttl))) {
+		if nw := newItem(k, it.val, now, deadline(now, ttl)); o.v.CompareAndSwap(k, it, &nw.item) {
+			o.noteWrite(nw, now)
 			return true
 		}
 	}
@@ -478,22 +528,22 @@ func (c *Cache[K, V]) Range(fn func(k K, v V) bool) {
 // ---------------------------------------------------------------------
 // Eviction: Redis-style sampled approximate LRU.
 
-// noteWrite records k in the sample ring and enforces the entry budget.
-// Called after every write that can grow the cache.
-func (o *ops[K, V]) noteWrite(k K, now int64) {
+// noteWrite records the item a write stored in the sample ring and
+// enforces the entry budget. Called after every write that stores an
+// item.
+func (o *ops[K, V]) noteWrite(it *keyed[K, V], now int64) {
 	c := o.c
 	if c.ring == nil {
 		return
 	}
-	kp := new(K)
-	*kp = k
-	c.ring[c.ringPos.Add(1)&c.ringMask].Store(kp)
+	c.ring[c.ringPos.Add(1)&c.ringMask].Store(it)
 	o.enforceBudget(now)
 }
 
 // enforceBudget evicts sampled-LRU entries while the cache is over its
 // entry budget, bounded per call so a single write never stalls on a
-// long purge (the sweeper keeps enforcing in the background).
+// long purge (the sweeper keeps enforcing in the background). Only a
+// write that had to evict more than one entry is traced, as a storm.
 func (o *ops[K, V]) enforceBudget(now int64) {
 	max := o.c.set.MaxEntries
 	if max == 0 {
@@ -505,17 +555,20 @@ func (o *ops[K, V]) enforceBudget(now int64) {
 			evicted++
 		}
 	}
-	if evicted > 0 {
+	if evicted > 1 {
 		trace.Emit(trace.KindEvictStorm, evicted, o.Len(), max)
 	}
 }
 
-// evictOne samples evictSamples ring slots and removes the
-// least-recently-accessed live candidate (expired candidates are
-// collected on sight, which also counts as progress). The conditional
-// delete makes the decision safe: a candidate overwritten since
-// sampling is a different item and survives. Returns true if an entry
-// was removed.
+// evictOne samples evictSamples live items from the ring and removes
+// the least-recently-accessed one (an expired item is collected on
+// sight, which also counts as progress). It reads the candidates
+// themselves and asks the map nothing until its one conditional delete,
+// which makes the decision safe: a candidate overwritten or removed since
+// it was stored is not the entry any more and is refused. Either way the
+// victim's slot is cleared, as is that of a collected candidate, so the
+// ring does not keep them reachable. Returns true if an entry was
+// removed.
 func (o *ops[K, V]) evictOne(now int64) bool {
 	c := o.c
 	// Seeds advance by 1, NOT by splitmix's own golden-ratio increment:
@@ -523,37 +576,43 @@ func (o *ops[K, V]) evictOne(now int64) bool {
 	// shifted by one, so every eviction re-probes the same slots. Unit
 	// strides land on disjoint splitmix inputs and decorrelate fully.
 	r := rng.NewSplitMix64(c.seed.Add(1))
-	var bestK K
-	var bestIt *item[V]
+	var best *keyed[K, V]
+	var bestSlot *atomic.Pointer[keyed[K, V]]
+	var bestAt int64
 	sampled := 0
 	for probe := 0; probe < 4*evictSamples && sampled < evictSamples; probe++ {
-		kp := c.ring[r.Uint64()&c.ringMask].Load()
-		if kp == nil {
+		slot := &c.ring[r.Uint64()&c.ringMask]
+		it := slot.Load()
+		if it == nil {
 			continue
 		}
-		it, ok := o.v.Load(*kp)
-		if !ok {
+		at := it.access.Load()
+		if at == gone {
+			slot.CompareAndSwap(it, nil)
 			continue
 		}
-		if dead(it, now) {
-			if o.collect(*kp, it) {
+		if dead(&it.item, now) {
+			ok := o.collect(it.key, &it.item)
+			slot.CompareAndSwap(it, nil)
+			if ok {
 				return true
 			}
 			continue
 		}
 		sampled++
-		if bestIt == nil || it.access.Load() < bestIt.access.Load() {
-			bestK, bestIt = *kp, it
+		if best == nil || at < bestAt {
+			best, bestSlot, bestAt = it, slot, at
 		}
 	}
-	if bestIt == nil {
+	if best == nil {
 		return false
 	}
-	if o.v.CompareAndDelete(bestK, bestIt) {
+	ok := o.v.CompareAndDelete(best.key, &best.item)
+	bestSlot.CompareAndSwap(best, nil)
+	if ok {
 		c.countEvicted()
-		return true
 	}
-	return false
+	return ok
 }
 
 // ---------------------------------------------------------------------
@@ -578,30 +637,52 @@ func (c *Cache[K, V]) sweepLoop(every time.Duration) {
 	}
 }
 
-// SweepOnce examines at most budget entries, resuming the cursor where
-// the previous tick stopped, collecting expired entries, then enforces
-// the entry budget. Exported so tests (and callers without a background
-// sweeper) can drive expiry deterministically. Returns the number of
-// entries removed. A full cycle over n entries costs O(n) callback work
-// — the cursor resumes instead of re-skipping the prefix. Concurrent
+// SweepOnce runs one sweep tick with the given batch, collecting expired
+// entries, then enforces the entry budget. The tick first walks the
+// expired front from the start of the map: it collects every expired
+// entry it meets and stops at its batch-th unexpired entry or its
+// 16·batch-th visit. Then it examines batch more entries, resuming the
+// cursor where the previous tick stopped, so a full cycle over n entries
+// costs O(n) callback work wherever the expired entries lie. Exported so
+// tests (and callers without a background sweeper) can drive expiry
+// deterministically. Returns the number of entries removed. Concurrent
 // writers may be partially observed — the walk is best-effort;
 // correctness is carried by the lazy read path.
-func (c *Cache[K, V]) SweepOnce(budget int) int { return c.sweepOnce(budget) }
+func (c *Cache[K, V]) SweepOnce(batch int) int { return c.sweepOnce(batch) }
 
-func (o *ops[K, V]) sweepOnce(budget int) int {
+func (o *ops[K, V]) sweepOnce(batch int) int {
 	c := o.c
 	now := c.now()
-	seen := 0
-	removed := 0
-	c.sweepMu.Lock()
-	next, _ := c.m.RangeFrom(c.sweepCur, func(k K, it *item[V]) bool {
+	seen, removed := 0, 0
+	// visit counts an entry, collects it if it expired, and reports
+	// whether it is live.
+	visit := func(k K, it *item[V]) bool {
 		seen++
-		if dead(it, now) && o.collect(k, it) {
+		if !dead(it, now) {
+			return true
+		}
+		if o.collect(k, it) {
 			removed++
 		}
-		return seen < budget
+		return false
+	}
+	c.sweepMu.Lock()
+	// The expired front: the walk runs in write order, so it is the
+	// stragglers that pin the oldest arena pages.
+	live := 0
+	c.m.RangeFrom(growt.Cursor{}, func(k K, it *item[V]) bool {
+		if visit(k, it) {
+			live++
+		}
+		return live < batch && seen < frontReach*batch
 	})
-	c.sweepCur = next
+	// The resumable pass: what expired behind a live front.
+	walked := 0
+	c.sweepCur, _ = c.m.RangeFrom(c.sweepCur, func(k K, it *item[V]) bool {
+		visit(k, it)
+		walked++
+		return walked < batch
+	})
 	c.sweepMu.Unlock()
 	c.sweepVisited.Add(uint64(seen))
 	c.sweepRemoved.Add(uint64(removed))

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,38 +82,107 @@ func TestExpiredNeverObservable(t *testing.T) {
 	}
 }
 
-// TestSweeperCollects drives the incremental sweeper deterministically:
-// bounded batches per tick, full coverage over successive ticks.
+// TestSweeperCollects drives the sweeper deterministically: a tick
+// visits at most frontReach batches at the front plus one batch behind
+// its cursor, the front pass collects every expired entry within its
+// reach, and successive ticks collect them all and no live entry.
 func TestSweeperCollects(t *testing.T) {
 	clk := newFakeClock()
 	c := newTestCache[uint64, string](clk)
 	defer c.Close()
 
-	const n = 100
+	const n, batch = 1000, 30
 	for i := uint64(0); i < n; i++ {
 		c.SetTTL(i, "v", time.Second)
 	}
-	c.SetTTL(1000, "survivor", time.Hour)
+	c.SetTTL(n, "survivor", time.Hour)
 	clk.advance(2 * time.Second)
 
-	// Budget 30 per tick: the sweep must need several ticks and never
-	// exceed its budget in one.
 	total := 0
-	for tick := 0; tick < 10 && total < n; tick++ {
-		removed := c.SweepOnce(30)
-		if removed > 30 {
-			t.Fatalf("tick %d removed %d > budget", tick, removed)
+	for tick := 0; total < n; tick++ {
+		if tick == 10 {
+			t.Fatalf("sweeper collected %d of %d expired entries in %d ticks", total, n, tick)
+		}
+		removed := c.SweepOnce(batch)
+		if v := c.Stats().LastSweepVisited; v > (frontReach+1)*batch {
+			t.Fatalf("tick %d visited %d entries, more than %d", tick, v, (frontReach+1)*batch)
+		}
+		if tick == 0 && removed < frontReach*batch {
+			t.Fatalf("first tick removed %d; its front pass reaches %d expired entries", removed, frontReach*batch)
 		}
 		total += removed
 	}
 	if total != n {
 		t.Fatalf("sweeper collected %d of %d expired entries", total, n)
 	}
-	if v, ok := c.Get(1000); !ok || v != "survivor" {
+	if v, ok := c.Get(n); !ok || v != "survivor" {
 		t.Fatalf("sweeper ate a live entry: %q, %v", v, ok)
 	}
 	if n := c.storedLen(); n != 1 {
 		t.Fatalf("stored entries after sweep = %d, want 1", n)
+	}
+}
+
+// TestSweepClearsExpiredFront: a never-read, unbudgeted cache that takes
+// ten batches of new keys per tick under one TTL, swept once per tick,
+// stores no more than the keys written within one TTL plus one tick's
+// writes. A sweeper that examines one batch per tick falls nine batches
+// further behind every tick, and the stragglers pin their arena pages.
+func TestSweepClearsExpiredFront(t *testing.T) {
+	clk := newFakeClock()
+	c := newTestCache[uint64, string](clk)
+	defer c.Close()
+
+	const (
+		batch    = 64
+		perTick  = 10 * batch
+		tick     = time.Second
+		ttlTicks = 4
+	)
+	k := uint64(0)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < perTick; j++ {
+			c.SetTTL(k, "v", ttlTicks*tick)
+			k++
+		}
+		clk.advance(tick)
+		c.SweepOnce(batch)
+		if n := c.storedLen(); n > (ttlTicks+1)*perTick {
+			t.Fatalf("tick %d: %d entries stored, more than the %d written within one TTL and a tick",
+				i, n, (ttlTicks+1)*perTick)
+		}
+	}
+}
+
+// TestSweepBehindImmortalFront: the front pass stops at a front of
+// immortal entries, so what expires behind it is the cursor pass's to
+// collect — all of it, in a linear number of visits.
+func TestSweepBehindImmortalFront(t *testing.T) {
+	clk := newFakeClock()
+	c := newTestCache[uint64, string](clk)
+	defer c.Close()
+
+	const n, batch = 1000, 100
+	for i := uint64(0); i < 2*batch; i++ {
+		c.SetTTL(i, "immortal", 0)
+	}
+	for i := uint64(0); i < n; i++ {
+		c.SetTTL(1<<20+i, "v", time.Second)
+	}
+	clk.advance(2 * time.Second)
+
+	removed := 0
+	for ticks := 0; removed < n; ticks++ {
+		if ticks > 10*n/batch {
+			t.Fatalf("sweeper stalled behind the immortal front: %d of %d removed after %d ticks", removed, n, ticks)
+		}
+		removed += c.SweepOnce(batch)
+	}
+	if v := c.Stats().SweepVisited; v > 3*n {
+		t.Fatalf("collecting %d entries behind the front took %d visits, more than %d", n, v, 3*n)
+	}
+	if got := c.storedLen(); got != 2*batch {
+		t.Fatalf("stored entries after sweep = %d, want the %d immortal ones", got, 2*batch)
 	}
 }
 
@@ -310,36 +381,104 @@ func TestEvictionBudget(t *testing.T) {
 	for i := evKey(0); i < budget; i++ {
 		c.SetTTL(i, "cold", 0)
 	}
-	// ...make the first half hot (much later access clock)...
+	holdsBudgetPreferringHot(t, clk, c, budget, 0)
+}
+
+// TestEvictionBudgetStaleRing is TestEvictionBudget over a sample ring
+// half of whose items are no longer entries. The ring has the budget's
+// slots; it ends up holding the first and the second item of each key
+// in budget/2..budget-1, the first overwritten (even keys) or deleted
+// before the key was written again (odd keys). Keys 0..budget/2-1 were
+// written before that and fill the budget from outside the ring.
+// Eviction reads the ring's items without asking the map, so a stale one
+// may cost it a refused conditional delete but neither the budget nor
+// the preference for cold entries.
+func TestEvictionBudgetStaleRing(t *testing.T) {
+	clk := newFakeClock()
+	const budget = 128
+	c := newTestCache[evKey, string](clk, growt.WithMaxEntries(budget))
+	defer c.Close()
+
+	for i := evKey(0); i < budget; i++ {
+		c.SetTTL(i, "first", 0)
+	}
+	for i := evKey(budget / 2); i < budget; i++ {
+		if i%2 == 1 {
+			c.Delete(i)
+		}
+		c.SetTTL(i, "cold", 0)
+	}
+	holdsBudgetPreferringHot(t, clk, c, budget, budget/2)
+}
+
+// holdsBudgetPreferringHot takes a cache holding budget cold keys
+// 0..budget-1, makes the first half of lo..budget-1 hot (a much later
+// access clock), pushes 4× the budget of fresh keys through, and checks
+// that the size held near the budget and that, within lo..budget-1, hot
+// keys outlived cold ones.
+func holdsBudgetPreferringHot(t *testing.T, clk *fakeClock, c *Cache[evKey, string], budget, lo evKey) {
+	t.Helper()
+	mid := lo + (budget-lo)/2
 	clk.advance(time.Hour)
-	for i := evKey(0); i < budget/2; i++ {
+	for i := lo; i < mid; i++ {
 		c.Get(i)
 	}
-	// ...then push 4× the budget of fresh keys through.
 	for i := evKey(1000); i < 1000+4*budget; i++ {
 		c.SetTTL(i, "new", 0)
 	}
-	if size := c.Len(); size > budget+maxEvictPerWrite {
+	if size := c.Len(); size > uint64(budget)+maxEvictPerWrite {
 		t.Fatalf("size %d blew the budget %d", size, budget)
 	}
-	st := c.Stats()
-	if st.Evicted == 0 {
+	if c.Stats().Evicted == 0 {
 		t.Fatal("no evictions recorded")
 	}
 	// Approximate LRU: hot survivors must not lose to cold survivors.
 	hot, cold := 0, 0
-	for i := evKey(0); i < budget/2; i++ {
+	for i := lo; i < mid; i++ {
 		if _, ok := c.m.Load(i); ok {
 			hot++
 		}
 	}
-	for i := evKey(budget / 2); i < budget; i++ {
+	for i := mid; i < budget; i++ {
 		if _, ok := c.m.Load(i); ok {
 			cold++
 		}
 	}
 	if hot < cold {
 		t.Fatalf("sampled LRU evicted hot before cold: %d hot vs %d cold survivors", hot, cold)
+	}
+}
+
+// TestRingRetentionBounded: the sample ring keeps the items it holds
+// reachable, values included, so it must not be much larger than the
+// budget. A budget of 10 fed 64 KiB values, first under new keys and
+// then as overwrites of ten keys, keeps the heap within a few budgets'
+// worth of values however many writes pass through.
+func TestRingRetentionBounded(t *testing.T) {
+	const budget, size, writes = 10, 64 << 10, 4096
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	c := newTestCache[uint64, string](newFakeClock(), growt.WithMaxEntries(budget))
+	defer c.Close()
+	for _, phase := range []struct {
+		name string
+		key  func(i uint64) uint64
+	}{
+		{"new keys", func(i uint64) uint64 { return i }},
+		{"overwrites", func(i uint64) uint64 { return 1<<20 + i%budget }},
+	} {
+		for i := uint64(0); i < writes; i++ {
+			c.Set(phase.key(i), strings.Repeat("v", size))
+		}
+		if grown := heap() - base; grown > 4*budget*size {
+			t.Fatalf("%s: heap grew %d KiB after %d writes, more than 4 budgets of %d KiB values (%d KiB)",
+				phase.name, grown>>10, writes, size>>10, 4*budget*size>>10)
+		}
 	}
 }
 
@@ -435,11 +574,63 @@ func TestBackgroundSweeper(t *testing.T) {
 	}
 }
 
+// countingView is a view that counts the map operations made through it.
+type countingView[K comparable, V any] struct {
+	view[K, V]
+	loads, stores, cads int
+}
+
+func (v *countingView[K, V]) Load(k K) (*item[V], bool) {
+	v.loads++
+	return v.view.Load(k)
+}
+
+func (v *countingView[K, V]) Store(k K, it *item[V]) {
+	v.stores++
+	v.view.Store(k, it)
+}
+
+func (v *countingView[K, V]) CompareAndDelete(k K, old *item[V]) bool {
+	v.cads++
+	return v.view.CompareAndDelete(k, old)
+}
+
+// TestEvictionAsksMapOnce: an over-budget Set stores its item, evicts,
+// and asks the map for nothing else than one conditional delete per
+// eviction attempt — the sampled candidates are read from the ring's
+// items, not looked up by key.
+func TestEvictionAsksMapOnce(t *testing.T) {
+	clk := newFakeClock()
+	const budget = 1024
+	c := newTestCache[uint64, string](clk, growt.WithMaxEntries(budget))
+	defer c.Close()
+	for i := uint64(0); i < 2*budget; i++ {
+		c.Set(i, "v")
+	}
+	cv := &countingView[uint64, string]{view: c.m}
+	o := ops[uint64, string]{c: c, v: cv}
+	for i := uint64(0); i < 100; i++ {
+		cv.loads, cv.stores, cv.cads = 0, 0, 0
+		evicted := c.Stats().Evicted
+		o.Set(1<<20+i, "new")
+		if cv.stores != 1 || cv.loads != 0 || cv.cads > maxEvictPerWrite {
+			t.Fatalf("over-budget Set made %d Stores, %d Loads, %d CompareAndDeletes; want 1, 0, at most %d",
+				cv.stores, cv.loads, cv.cads, maxEvictPerWrite)
+		}
+		if c.Stats().Evicted == evicted {
+			t.Fatalf("over-budget Set %d evicted nothing", i)
+		}
+	}
+	if size := c.Len(); size > budget {
+		t.Fatalf("size %d over the budget %d", size, budget)
+	}
+}
+
 // TestCacheAllocs pins what an operation on a present key allocates. A
 // read and a refused conditional write allocate nothing, through the
 // handle-free Cache and through a Session; a conditional write that
 // succeeds allocates the new item and the map's box around its pointer,
-// nothing else.
+// nothing else — and so does an over-budget Set that evicts an entry.
 func TestCacheAllocs(t *testing.T) {
 	clk := newFakeClock()
 	c := newTestCache[string, string](clk)
@@ -448,6 +639,13 @@ func TestCacheAllocs(t *testing.T) {
 	defer s.Close()
 	c.Set("key", "v0")
 	cur := "v0"
+	const budget = 1024
+	b := newTestCache[uint64, string](clk, growt.WithMaxEntries(budget))
+	defer b.Close()
+	next := uint64(0)
+	for ; next < 2*budget; next++ {
+		b.Set(next, "v")
+	}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -470,6 +668,14 @@ func TestCacheAllocs(t *testing.T) {
 			cur = next
 		}},
 		{"Expire", 2, func() { s.Expire("key", time.Hour) }},
+		{"over-budget Set", 2, func() {
+			evicted := b.Stats().Evicted
+			b.Set(next, "v")
+			next++
+			if b.Stats().Evicted != evicted+1 {
+				t.Fatal("over-budget Set did not evict exactly one entry")
+			}
+		}},
 	} {
 		if got := testing.AllocsPerRun(1000, tc.op); got > tc.max {
 			t.Errorf("%s: %v allocs/op, want at most %v", tc.name, got, tc.max)

@@ -53,28 +53,38 @@ func TestSweepFullCycleVisitsLinear(t *testing.T) {
 	}
 }
 
-// TestSweepPerTickStats checks the per-tick gauges: each tick reports
-// its own visited/removed counts, capped by the budget.
+// TestSweepPerTickStats checks the per-tick gauges against one tick
+// over 100 expired entries, 50 live ones and 100 more expired ones: the
+// front pass collects the first 100 and stops at its 30th live entry,
+// then the cursor pass visits the first 30 live entries from the start,
+// and the expired entries behind the live front wait for later ticks.
 func TestSweepPerTickStats(t *testing.T) {
 	clk := newFakeClock()
 	c := newTestCache[uint64, string](clk)
 	defer c.Close()
 
-	for i := uint64(1); i <= 100; i++ {
-		c.SetTTL(i, "v", time.Second)
+	for i := uint64(1); i <= 250; i++ {
+		ttl := time.Second
+		if i > 100 && i <= 150 {
+			ttl = time.Hour
+		}
+		c.SetTTL(i, "v", ttl)
 	}
 	clk.advance(2 * time.Second)
 
 	c.SweepOnce(30)
 	st := c.Stats()
-	if st.LastSweepVisited != 30 {
-		t.Fatalf("last tick visited %d, want the 30 budget", st.LastSweepVisited)
+	if st.LastSweepVisited != 100+30+30 {
+		t.Fatalf("last tick visited %d, want 160 (100 expired and 30 live at the front, 30 behind the cursor)", st.LastSweepVisited)
 	}
-	if st.LastSweepRemoved != 30 {
-		t.Fatalf("last tick removed %d, want 30 (all visited were expired)", st.LastSweepRemoved)
+	if st.LastSweepRemoved != 100 {
+		t.Fatalf("last tick removed %d, want the 100 expired at the front", st.LastSweepRemoved)
 	}
 	if st.Sweeps != 1 {
 		t.Fatalf("sweeps = %d, want 1", st.Sweeps)
+	}
+	if n := c.storedLen(); n != 150 {
+		t.Fatalf("stored entries after one tick = %d, want 150", n)
 	}
 }
 

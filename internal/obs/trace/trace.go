@@ -55,7 +55,7 @@ type Kind uint8
 //	MigFlip     A0=cells moved  A1=new generation  A2=unused
 //	MigAbort    A0=src capacity  A1,A2=unused
 //	SweepSlice  A0=entries visited  A1=entries removed  A2=unused
-//	EvictStorm  A0=entries evicted  A1=approx size  A2=entry budget
+//	EvictStorm  A0=entries evicted (> 1: one write's eviction run)  A1=approx size  A2=entry budget
 //
 //growt:enum tracekind
 const (

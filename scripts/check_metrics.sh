@@ -14,8 +14,8 @@
 #      (the smoke's prefill outgrows the default table capacity), with
 #      a nonzero wall-time histogram count to match.
 #   4. With "churn" — a scrape of a growd that served expiring,
-#      never-reused keys under an entry budget: entries expired, their
-#      chains were dropped and arena pages were retired.
+#      never-reused keys under an entry budget: entries expired and were
+#      evicted, their chains were dropped and arena pages were retired.
 #
 # The parser is plain awk so CI needs no Prometheus tooling.
 set -eu
@@ -61,7 +61,7 @@ echo "OK: $migs migrations, wall-histogram count $wallc"
 
 if [ "${2:-}" = churn ]; then
   echo "==> reclamation happened"
-  for series in growt_cache_expired_total growt_generic_chains_dropped_total growt_generic_pages_retired_total; do
+  for series in growt_cache_expired_total growt_cache_evicted_total growt_generic_chains_dropped_total growt_generic_pages_retired_total; do
     n=$(awk -v s="$series" '$1 == s { print $2+0 }' "$f")
     [ "${n:-0}" -gt 0 ] || fail "$series = ${n:-0} after a churn run"
     echo "$series $n"
