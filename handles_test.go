@@ -77,53 +77,58 @@ func TestHandlesAtMostHolders(t *testing.T) {
 	}
 }
 
-// TestPanicsKeepHandles: user code that panics under a borrowed handle —
-// an update function, a hasher — a thousand times in a row neither loses
-// the handle nor has another one made, and the map stays usable.
+// TestPanicsKeepHandles: every handle-free method, run a hundred times on
+// a present key and a hundred times under a hasher that panics, leaves
+// the map with the one handle it started with: a method that releases
+// its handle anywhere but in a defer strands it at the first panic, one
+// that never releases strands it at every call. The update functions
+// panic too, and the map stays usable.
 func TestPanicsKeepHandles(t *testing.T) {
 	boom := func(cur, d int) int { panic("boom") }
-	hasher := WithHasher(func(k string) uint64 {
+	m := New[string, int](WithHasher(func(k string) uint64 {
 		if k == "boom" {
 			panic("boom")
 		}
 		return uint64(len(k))
-	})
+	}))
+	defer m.Close()
+	m.Store("key", 1)
 	for _, c := range []struct {
-		name       string
-		m          *Map[string, int]
-		hashPanics bool
-	}{{"generic", New[string, int](), false}, {"hasher", New[string, int](hasher), true}} {
-		m := c.m
-		m.Store("key", 1)
-		before, panics, want := handlesMade(m), 0, 0
-		try := func(op func()) {
-			defer func() {
-				if recover() != nil {
-					panics++
-				}
-			}()
-			want++
-			op()
+		method     string
+		op         func(k string)
+		userPanics bool // panics on a present key: its update function does
+	}{
+		{"Load", func(k string) { m.Load(k) }, false},
+		{"Store", func(k string) { m.Store(k, 1) }, false},
+		{"LoadOrStore", func(k string) { m.LoadOrStore(k, 1) }, false},
+		{"Compute", func(k string) { m.Compute(k, 1, boom) }, true},
+		{"Delete", func(k string) { m.Delete(k) }, false},
+		{"LoadAndDelete", func(k string) { m.LoadAndDelete(k) }, false},
+		{"CompareAndSwap", func(k string) { m.CompareAndSwap(k, 1, 1) }, false},
+		{"CompareAndDelete", func(k string) { m.CompareAndDelete(k, 1) }, false},
+		{"Update", func(k string) { m.Update(k, 1, boom) }, true},
+	} {
+		panicked := func(k string) (p bool) {
+			defer func() { p = recover() != nil }()
+			c.op(k)
+			return
 		}
-		for i := 0; i < 1000; i++ {
-			try(func() { m.Compute("key", 1, boom) })
-			try(func() { m.Update("key", 1, boom) })
-			if c.hashPanics {
-				try(func() { m.Load("boom") })
-				try(func() { m.Store("boom", 1) })
+		for i := 0; i < 100; i++ {
+			m.Store("key", 1)
+			if panicked("key") != c.userPanics {
+				t.Fatalf("%s on a present key: panicked %v, want %v", c.method, !c.userPanics, c.userPanics)
+			}
+			if !panicked("boom") {
+				t.Fatalf("%s: the hasher's panic did not reach the caller", c.method)
 			}
 		}
-		if panics != want {
-			t.Fatalf("%s: %d of %d operations panicked", c.name, panics, want)
+		if n := handlesMade(m); n != 1 {
+			t.Fatalf("%s: %d handles after the panics, want 1", c.method, n)
 		}
-		if after := handlesMade(m); before != 1 || after != 1 {
-			t.Fatalf("%s: %d handles before the panics, %d after, want 1 and 1", c.name, before, after)
-		}
-		m.Store("key", 2)
-		if v, ok := m.Load("key"); !ok || v != 2 {
-			t.Fatalf("%s: map unusable after the panics: %d, %v", c.name, v, ok)
-		}
-		m.Close()
+	}
+	m.Store("key", 2)
+	if v, ok := m.Load("key"); !ok || v != 2 {
+		t.Fatalf("map unusable after the panics: %d, %v", v, ok)
 	}
 	// The word route parks the update function in its handle for the call.
 	w := New[uint64, int]()

@@ -11,11 +11,12 @@
 // library (go/ast, go/types, go/importer) — which is all x/tools'
 // unitchecker itself uses underneath.
 //
-// The repository's analyzers are driven by directive comments (see
-// directives.go): //growt:atomic, //growt:exclusive, //growt:hotpath,
-// //growt:acquires, //growt:enum. docs/ANALYSIS.md maps each analyzer
-// and directive to the cell-protocol invariant or facade contract it
-// enforces.
+// The repository's four analyzers (atomiccell, statusswitch, wirepair,
+// hotpathalloc) are driven by directive comments (see directives.go):
+// //growt:atomic, //growt:exclusive, //growt:enum, //growt:wire,
+// //growt:hotpath. docs/ANALYSIS.md maps each analyzer and directive
+// to the cell-protocol invariant or wire contract it enforces, and
+// records the seeded bugs only growvet catches.
 package analysis
 
 import (
@@ -74,8 +75,8 @@ type EnumGroup struct {
 }
 
 // Parents maps every AST node of a set of files to its parent node —
-// the context lookup several analyzers need to classify how an
-// expression is used.
+// the context lookup atomiccell needs to classify how an expression is
+// used.
 type Parents map[ast.Node]ast.Node
 
 // NewParents indexes the files.

@@ -18,9 +18,6 @@ type t struct {
 	nx    uint64 //growt:atomicx
 }
 
-//growt:acquires release
-func acquire() int { return 0 }
-
 //growt:exclusive -- construction only
 func build() {}
 
@@ -63,23 +60,18 @@ func TestFieldDirective(t *testing.T) {
 }
 
 func TestFuncDirectives(t *testing.T) {
-	var acquireFD, buildFD, untaggedFD *ast.FuncDecl
+	var buildFD, untaggedFD *ast.FuncDecl
 	for _, d := range f(t).Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok {
 			continue
 		}
 		switch fd.Name.Name {
-		case "acquire":
-			acquireFD = fd
 		case "build":
 			buildFD = fd
 		case "untagged":
 			untaggedFD = fd
 		}
-	}
-	if arg, ok := FuncDirective(acquireFD, "acquires"); !ok || arg != "release" {
-		t.Errorf("acquires directive = (%q, %v), want (release, true)", arg, ok)
 	}
 	if arg, ok := FuncDirective(buildFD, "exclusive"); !ok || arg != "" {
 		t.Errorf("exclusive directive = (%q, %v): the -- reason must be stripped", arg, ok)

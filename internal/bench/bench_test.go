@@ -132,6 +132,31 @@ func TestMeasureKeepsSamples(t *testing.T) {
 	}
 }
 
+// TestDeleteWindowFindsEveryKey: in the Fig. 6/8b sliding window every
+// delete finds its key at 4 workers, with the window shorter than two
+// blocks as at growbench's smoke size, and the live set ends at exactly
+// the window. A delete that runs before its key's insert misses, and
+// that key stays live for good.
+func TestDeleteWindowFindsEveryKey(t *testing.T) {
+	const n, window, workers = 1 << 16, 1 << 16 / 10, 4
+	keys := UniformKeys(n+window, 4242)
+	for _, name := range []string{"uaGrow", "hopscotch", "cuckoo", "mutexmap"} {
+		tab := newTable(name, window*3/2)
+		prefill(tab, keys[:window])
+		_, missed := windowOps(handlesFor(tab, workers), keys, window, n)
+		live, h := 0, tab.Handle()
+		for _, k := range keys {
+			if _, ok := h.Find(k); ok {
+				live++
+			}
+		}
+		closeTable(tab)
+		if missed != 0 || live != window {
+			t.Errorf("%s: %d of %d deletes missed, %d keys live, want 0 and %d", name, missed, n, live, window)
+		}
+	}
+}
+
 func TestRunDealsAllOps(t *testing.T) {
 	var hit = make([]uint64, 3*BlockOps+17)
 	run(4, uint64(len(hit)), func(w int, lo, hi uint64) {

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/tables"
@@ -303,14 +305,8 @@ func deleteScenario(cfg *Config, exp string, tableSet []string, includePhase boo
 				t := newTable(name, window*3/2) // 1.5× window, §8.4
 				defer closeTable(t)
 				prefill(t, keys[:window])
-				hs := handlesFor(t, p)
-				return run(p, cfg.N, func(w int, lo, hi uint64) {
-					h := hs[w]
-					for i := lo; i < hi; i++ {
-						h.Insert(keys[window+i], i)
-						h.Delete(keys[i])
-					}
-				})
+				d, _ := windowOps(handlesFor(t, p), keys, window, cfg.N)
+				return d
 			})
 			r := Result{Exp: exp, Table: name, Threads: p,
 				MOps: float64(cfg.N) / secs / 1e6, Seconds: secs, Samples: samples,
@@ -325,6 +321,39 @@ func deleteScenario(cfg *Config, exp string, tableSet []string, includePhase boo
 		results = append(results, phaseDeleteRuns(cfg, exp, keys, window)...)
 	}
 	return results
+}
+
+// windowOps runs n sliding-window ops on a table holding keys[:window],
+// one worker per handle: op i inserts keys[window+i] and deletes keys[i],
+// the key op i-window inserted. A delete may run only after that insert,
+// or it misses and its key stays live for good, so before its first
+// delete of a block's keys a worker waits for the block that inserted
+// them to be done. Blocks are dealt in order and wait only on earlier
+// ones, so this cannot deadlock. It returns the wall time and the number
+// of deletes that missed their key.
+func windowOps(hs []tables.Handle, keys []uint64, window, n uint64) (time.Duration, uint64) {
+	done := make([]atomic.Bool, (n+BlockOps-1)/BlockOps)
+	var missed atomic.Uint64
+	wall := run(len(hs), n, func(w int, lo, hi uint64) {
+		h := hs[w]
+		var miss, ready uint64 // ready: the end of the last block seen done
+		for i := lo; i < hi; i++ {
+			h.Insert(keys[window+i], i)
+			if i >= window && i-window >= ready {
+				b := (i - window) / BlockOps
+				for !done[b].Load() {
+					runtime.Gosched()
+				}
+				ready = (b + 1) * BlockOps
+			}
+			if !h.Delete(keys[i]) {
+				miss++
+			}
+		}
+		missed.Add(miss)
+		done[lo/BlockOps].Store(true)
+	})
+	return wall, missed.Load()
 }
 
 // phaseDeleteRuns measures the phase-concurrent table on the sliding

@@ -714,11 +714,7 @@ type Session[K comparable, V any] struct {
 }
 
 // NewSession pins one pooled map handle into a Session view. Callers
-// own the release: every path must Close the Session (growvet's
-// handleleak analyzer enforces the shape for in-package callers).
-//
-//growt:acquires Close
-//growt:exclusive -- ownership transfer: the pinned map session is released by Session.Close, not here
+// own the release: every path must Close the Session.
 func (c *Cache[K, V]) NewSession() *Session[K, V] {
 	pin := c.m.Session()
 	return &Session[K, V]{ops: ops[K, V]{c: c, v: pin}, pin: pin}

@@ -26,6 +26,105 @@ import (
 // generation after the CAS; TestStaleMigrationArmRefused replays the
 // interleaving deterministically.
 
+// TestSameKeyRetriesTerminate: a CAS retry loop terminates only if each
+// round re-reads the cell (or the status it switches on) before trying
+// again; one that retries a stale expected value spins forever on the
+// first CAS it loses. Four goroutines hammer keys 1 and 2 with every
+// operation that has such a loop, on the bounded table and on every
+// growing strategy. The growing tables start at 8 cells and a churn
+// goroutine keeps migrating them, so the facade loops retry on marked
+// cells as well. A goroutine still running at the deadline fails the test.
+func TestSameKeyRetriesTerminate(t *testing.T) {
+	rounds := uint64(20_000)
+	if testing.Short() {
+		rounds = 5_000
+	}
+	type hammered struct {
+		name string
+		tab  tables.Interface
+	}
+	cases := []hammered{{"folklore", NewFolklore(2)}}
+	for _, s := range allStrategies() {
+		cases = append(cases, hammered{s.String(), NewGrow(s, 8)})
+	}
+	for _, c := range cases {
+		done := make(chan struct{})
+		go func() {
+			hammerSameKeys(c.tab, rounds)
+			close(done)
+		}()
+		select {
+		case <-done:
+			if g, ok := c.tab.(*Grow); ok {
+				g.Close()
+			}
+		case <-time.After(10 * time.Second):
+			// The stuck goroutines keep using the table: it stays open.
+			t.Fatalf("%s: same-key operations still running after 10 s: a retry loop retries on a stale read of its cell or status", c.name)
+		}
+	}
+}
+
+// hammerSameKeys runs the same-key workload of TestSameKeyRetriesTerminate
+// on tab, forcing migrations throughout if tab is a growing table.
+func hammerSameKeys(tab tables.Interface, rounds uint64) {
+	if g, ok := tab.(*Grow); ok {
+		defer forceMigrations(g)()
+	}
+	var wg sync.WaitGroup
+	for w := uint64(0); w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := tab.Handle()
+			for i := uint64(0); i < rounds; i++ {
+				k, v := 1+i%2, w<<32|i
+				h.Insert(k, v) // revives k's tombstone
+				h.Update(k, v, tables.Overwrite)
+				h.InsertOrUpdate(k, v, tables.Overwrite)
+				h.(tables.Adder).InsertOrAdd(k, 1)
+				if cur, ok := h.Find(k); ok {
+					h.(tables.CompareAndDeleter).CompareAndDelete(k, cur)
+				}
+				h.Delete(k)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// forceMigrations migrates g over and over from a goroutine of its own
+// until the returned stop is called; stop returns once that goroutine has
+// exited.
+func forceMigrations(g *Grow) (stop func()) {
+	quit := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+				g.initiate(g.cur.Load())
+				g.assist()
+				// Let the operating goroutines run between migrations.
+				// Without this the churn loop re-initiates the instant the
+				// previous migration finishes, and on low-core hosts the
+				// channel-handoff wakeups can keep scheduling only the
+				// churn/pool-worker pair, starving the workers and hanging
+				// the suite.
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		churn.Wait()
+	}
+}
+
 // TestConcurrentDeleteInsert: concurrent alternating insert/delete on a
 // sliding window from several goroutines with disjoint key ranges —
 // table-driven across all four strategies and initial capacities, so every
@@ -156,28 +255,7 @@ func TestStaleMigrationArmRefused(t *testing.T) {
 func tortureLinearizable(t *testing.T, g *Grow, goroutines, opsPerG, keys int) {
 	t.Helper()
 	hist := linearize.NewHistory()
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				g.initiate(g.cur.Load())
-				g.assist()
-				// Let the op-recording goroutines run between migrations.
-				// Without this the churn loop re-initiates the instant the
-				// previous migration finishes, and on low-core hosts the
-				// channel-handoff wakeups can keep scheduling only the
-				// churn/pool-worker pair, starving the workers and hanging
-				// the suite.
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
+	stopChurn := forceMigrations(g)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
@@ -214,8 +292,7 @@ func tortureLinearizable(t *testing.T, g *Grow, goroutines, opsPerG, keys int) {
 		}(int64(i*7919 + 13))
 	}
 	wg.Wait()
-	close(stop)
-	churn.Wait()
+	stopChurn()
 	if err := hist.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,12 @@
 //
 // The paper (§8.3) hashes keys with two CRC32-C (Castagnoli) instructions
 // seeded differently, concatenating the two 32-bit results into a 64-bit
-// hash; the hardware CRC instruction makes this nearly free. Go's
-// hash/crc32 uses the same polynomial (and SSE4.2 acceleration where
-// available), so Hash64 reproduces the construction faithfully. A
-// SplitMix64-style avalanche finalizer is also provided for tables that
-// want stronger diffusion of the low bits (chaining/cuckoo baselines).
+// hash; the hardware CRC instruction makes this nearly free. Hash64
+// computes the same two CRCs in software, by a byte-at-a-time loop over
+// hash/crc32's Castagnoli table: the same function as the paper's, not
+// its price (Go has no CRC intrinsic for a word). A SplitMix64-style
+// avalanche finalizer is also provided for tables that want stronger
+// diffusion of the low bits (chaining/cuckoo baselines).
 package hashfn
 
 import "hash/crc32"
@@ -53,13 +54,4 @@ func Avalanche(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// HashString maps a string to a 64-bit hash using the same two-pass
-// CRC32-C construction over the string bytes; used by the complex-key
-// table (§5.7).
-func HashString(s string) uint64 {
-	hi := crc32.Update(seedHi, castagnoli, []byte(s))
-	lo := crc32.Update(seedLo, castagnoli, []byte(s))
-	return uint64(hi)<<32 | uint64(lo)
 }

@@ -107,20 +107,6 @@ func TestAvalancheDiffusion(t *testing.T) {
 	}
 }
 
-func TestHashString(t *testing.T) {
-	if HashString("a") == HashString("b") {
-		t.Fatal("trivial string collision")
-	}
-	if HashString("hello") != HashString("hello") {
-		t.Fatal("HashString not deterministic")
-	}
-	if HashString("") == 0 {
-		// CRC of empty input with nonzero seeds is the seed complement;
-		// must not be the zero/empty sentinel.
-		t.Fatal("empty string hashed to 0")
-	}
-}
-
 func BenchmarkHash64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {

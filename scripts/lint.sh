@@ -2,9 +2,8 @@
 # scripts/lint.sh — the exact static-analysis sequence CI's lint job
 # runs, invocable locally. Three gates, all blocking:
 #
-#   1. growvet: the repository's own six analyzers (cell protocol,
-#      flow-sensitive handle release, CAS re-read discipline, status
-#      exhaustiveness, hot-path allocation budget, wire-contract
+#   1. growvet: the repository's own four analyzers (cell protocol,
+#      status exhaustiveness, hot-path allocation budget, wire-contract
 #      pairing — see docs/ANALYSIS.md)
 #   2. staticcheck at the pinned version (selection in staticcheck.conf)
 #   3. govulncheck at the pinned version
@@ -32,7 +31,7 @@ else
     go build -o "$GROWVET" ./cmd/growvet
 fi
 
-echo "==> growvet (cell protocol / handles / cell re-read / wire pairing / hot paths)"
+echo "==> growvet (cell protocol / status switches / hot paths / wire pairing)"
 go vet -vettool="$GROWVET" ./...
 
 if [ "${GROWVET_ONLY:-}" = "1" ]; then

@@ -239,10 +239,9 @@ func (h *Handle[K, V]) CompareAndDelete(k K, old V) bool {
 //
 // Callers must pair the acquire with an immediately deferred release so
 // user code running under the handle (hashers, update closures) cannot
-// strand it by panicking; growvet's handleleak analyzer enforces the
-// shape.
+// strand it by panicking; TestPanicsKeepHandles panics under every
+// handle-free method.
 //
-//growt:acquires release
 //growt:hotpath
 func (m *Map[K, V]) acquire() *Handle[K, V] {
 	s, _ := m.hints.Get().(*handleSlot[K, V])
@@ -391,11 +390,7 @@ type Session[K comparable, V any] struct {
 }
 
 // Session borrows a pooled handle and pins it into a Session view.
-// Callers own the release: every path must Close the Session (growvet's
-// handleleak analyzer enforces the shape for in-package callers).
-//
-//growt:acquires Close
-//growt:exclusive -- ownership transfer: the borrowed handle is released by Session.Close, not here
+// Callers own the release: every path must Close the Session.
 func (m *Map[K, V]) Session() *Session[K, V] {
 	return &Session[K, V]{Handle: m.acquire(), m: m}
 }
