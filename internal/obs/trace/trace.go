@@ -6,7 +6,7 @@
 // Aggregate metrics (internal/obs) can bound tail behavior — a p99
 // migration pause, a probe-length knee — but cannot explain a single
 // slow operation. The recorder keeps the raw event stream the paper's
-// pause analysis needs: every exec start/end, every migration phase
+// pause analysis needs: every executed request, every migration phase
 // transition, every sweep slice, cheap enough to leave on in
 // production. Events overwrite oldest-first; the ring is a window onto
 // the recent past, not a log.
@@ -19,10 +19,13 @@
 // payload, then seq=2·ticket+2 (even: complete). A reader accepts a
 // slot only when the sequence is even, nonzero, and unchanged across
 // the payload reads, so drained records are never torn; every access
-// is atomic, so the scheme is race-detector clean. Under extreme
-// wraparound contention two writers a full ring apart can race on one
-// slot — the loser's record survives untorn but possibly older; Drain
-// sorts by timestamp, so the merged view stays ordered either way.
+// is atomic, so the scheme is race-detector clean. A writer takes its
+// slot by compare-and-swapping an even sequence to its odd one: under
+// extreme wraparound contention, a writer that finds the slot held by
+// another a full ring apart drops its event rather than interleave
+// payload stores with it, which a reader could not tell from a whole
+// record. A late writer can still replace a newer record with an older
+// one; Drain sorts by timestamp, so the merged view stays ordered.
 package trace
 
 import (
@@ -45,9 +48,8 @@ type Kind uint8
 // The event kinds, one per instrumented transition. Arguments are
 // positional (A0..A2); the per-kind conventions are:
 //
-//	ExecStart   A0=opcode  A1=request id   A2=unused
-//	ExecEnd     A0=opcode  A1=status       A2=latency nanos
-//	Enqueue     A0=request id  A1=queue depth  A2=unused
+//	ExecEnd     A0=opcode|status<<8  A1=request id  A2=latency nanos (start = TS-A2)
+//	Enqueue     A0=first request id  A1=queue depth in batches  A2=frames in the batch
 //	MigArm      A0=src capacity  A1=dst capacity  A2=unused
 //	MigAdopt    A0=total blocks  A1=blocks done  A2=unused
 //	MigCopySlice A0=block index  A1=cells moved  A2=unused
@@ -59,8 +61,7 @@ type Kind uint8
 //
 //growt:enum tracekind
 const (
-	KindExecStart Kind = 1 + iota
-	KindExecEnd
+	KindExecEnd Kind = 1 + iota
 	KindEnqueue
 	KindMigArm
 	KindMigAdopt
@@ -76,8 +77,6 @@ const (
 // outside the enum (including the reserved zero).
 func KindName(k Kind) string {
 	switch k {
-	case KindExecStart:
-		return "exec_start"
 	case KindExecEnd:
 		return "exec_end"
 	case KindEnqueue:
@@ -206,16 +205,26 @@ func (r *Ring) shardIdx() uint64 {
 	return (uint64(uintptr(unsafe.Pointer(&p))) * 0x9E3779B97F4A7C15) >> 32 & uint64(len(r.shards)-1)
 }
 
-// Append records one event. Allocation-free and wait-free: one
-// fetch-and-add on the shard cursor plus six atomic stores.
+// Append records one event stamped now. Allocation-free and
+// wait-free: one fetch-and-add on the shard cursor, a compare-and-swap
+// on the slot's sequence and six atomic stores.
 //
 //growt:hotpath
 func (r *Ring) Append(k Kind, a0, a1, a2 uint64) {
-	ts := nowNanos()
+	r.AppendAt(nowNanos(), k, a0, a1, a2)
+}
+
+// AppendAt records one event stamped ts, a reading of Now the caller
+// already holds, so the ring reads no clock of its own.
+//
+//growt:hotpath
+func (r *Ring) AppendAt(ts int64, k Kind, a0, a1, a2 uint64) {
 	sh := &r.shards[r.shardIdx()]
 	ticket := sh.cursor.Add(1) - 1
 	s := &sh.slots[ticket&r.mask]
-	s.seq.Store(2*ticket + 1)
+	if old := s.seq.Load(); old&1 == 1 || !s.seq.CompareAndSwap(old, 2*ticket+1) {
+		return // another writer holds the slot
+	}
 	s.ts.Store(uint64(ts))
 	s.kind.Store(uint64(k))
 	s.a0.Store(a0)
@@ -231,9 +240,18 @@ func Emit(k Kind, a0, a1, a2 uint64) {
 	Default.Append(k, a0, a1, a2)
 }
 
-// Now returns the recorder's clock reading. Instrumented layers that
-// stamp their own records (the server's slow-op log) use it so their
-// timestamps interleave exactly with drained trace events.
+// EmitAt appends to the package-level Default ring at ts, a reading
+// of Now.
+//
+//growt:hotpath
+func EmitAt(ts int64, k Kind, a0, a1, a2 uint64) {
+	Default.AppendAt(ts, k, a0, a1, a2)
+}
+
+// Now returns the recorder's clock reading; it reads the monotonic
+// clock only. Instrumented layers that stamp their own records (the
+// server's slow-op log, EmitAt callers) use it so their timestamps
+// interleave exactly with drained trace events.
 //
 //growt:hotpath
 func Now() int64 { return nowNanos() }

@@ -63,7 +63,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 20000; i++ {
 				a0 := uint64(g)<<32 | uint64(i)
-				r.Append(KindExecStart, a0, a0+1, a0^magic)
+				r.Append(KindMigArm, a0, a0+1, a0^magic)
 			}
 		}(g)
 	}
@@ -78,8 +78,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			}
 			evs := r.Drain()
 			for i, e := range evs {
-				if e.Kind != KindExecStart {
-					t.Errorf("drained kind %d, want %d", e.Kind, KindExecStart)
+				if e.Kind != KindMigArm {
+					t.Errorf("drained kind %d, want %d", e.Kind, KindMigArm)
 				}
 				if e.A1 != e.A0+1 || e.A2 != e.A0^magic {
 					t.Errorf("torn record: A0=%x A1=%x A2=%x", e.A0, e.A1, e.A2)
@@ -95,14 +95,19 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	readers.Wait()
 }
 
-// TestFlightRecorderAppendAllocs pins the hot-path contract: Append
-// (and the package-level Emit) never allocate.
+// TestFlightRecorderAppendAllocs pins the hot-path contract: Append,
+// AppendAt (and the package-level Emit) never allocate.
 func TestFlightRecorderAppendAllocs(t *testing.T) {
 	r := NewRing(256)
 	if n := testing.AllocsPerRun(1000, func() {
 		r.Append(KindMigCopySlice, 1, 2, 3)
 	}); n != 0 {
 		t.Fatalf("Append allocates %v per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		r.AppendAt(Now(), KindExecEnd, 1, 2, 3)
+	}); n != 0 {
+		t.Fatalf("AppendAt allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		Emit(KindSweepSlice, 4, 5, 6)
@@ -116,7 +121,7 @@ func TestFlightRecorderAppendAllocs(t *testing.T) {
 // reserved zero) decode to "".
 func TestFlightRecorderKindNames(t *testing.T) {
 	seen := map[string]Kind{}
-	for k := KindExecStart; k <= KindEvictStorm; k++ {
+	for k := KindExecEnd; k <= KindEvictStorm; k++ {
 		name := KindName(k)
 		if name == "" {
 			t.Errorf("kind %d has no name", k)
@@ -139,7 +144,8 @@ func TestFlightRecorderKindNames(t *testing.T) {
 // JSON carrying kind names.
 func TestFlightRecorderWriteJSON(t *testing.T) {
 	r := newRingShards(t, 1, 64)
-	r.Append(KindExecEnd, 7, 0, 1500)
+	ts := Now()
+	r.AppendAt(ts, KindExecEnd, 7, 0, 1500)
 	r.Append(KindMigFlip, 4096, 2, 0)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, r.Drain()); err != nil {
@@ -158,6 +164,9 @@ func TestFlightRecorderWriteJSON(t *testing.T) {
 	}
 	if out[0].Kind != "exec_end" || out[1].Kind != "mig_flip" {
 		t.Errorf("kinds = %q, %q; want exec_end, mig_flip", out[0].Kind, out[1].Kind)
+	}
+	if out[0].TS != ts {
+		t.Errorf("AppendAt event stamped %d, want the given %d", out[0].TS, ts)
 	}
 	if out[0].TS > out[1].TS {
 		t.Errorf("events out of order: %d > %d", out[0].TS, out[1].TS)

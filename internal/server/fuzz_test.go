@@ -57,7 +57,10 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzDecodeRequest throws arbitrary request bodies at the dispatcher:
 // exec must never panic, and whatever it answers must itself be a
-// well-formed frame echoing the request id with a known status.
+// well-formed frame echoing the request id with a known status. exec
+// appends to a batch of earlier responses, so it runs after a prefix
+// that must come back byte-identical, with exactly one frame after it
+// — error paths included, which rewind to the prefix before answering.
 func FuzzDecodeRequest(f *testing.F) {
 	st := NewStore()
 	f.Cleanup(func() { st.Close() })
@@ -83,11 +86,19 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(uint64(11), OpGet, AppendUint32(nil, 100))
 	f.Add(uint64(12), OpPing, []byte{0xAA})
 
+	prefix := fuzzFrame(99, StatusOK, []byte("earlier response"))
 	f.Fuzz(func(t *testing.T, id uint64, kind byte, reqBody []byte) {
-		frame, _ := srv.exec(cs, nil, id, kind, reqBody)
-		rid, status, _, _, err := ReadFrame(bytes.NewReader(frame), DefaultMaxFrame, nil)
+		batch, _ := srv.exec(cs, append([]byte(nil), prefix...), id, kind, reqBody)
+		if len(batch) < len(prefix) || !bytes.Equal(batch[:len(prefix)], prefix) {
+			t.Fatalf("exec changed the batch before its response:\nwant %x\ngot  %x", prefix, batch[:min(len(batch), len(prefix))])
+		}
+		frame := bytes.NewReader(batch[len(prefix):])
+		rid, status, _, _, err := ReadFrame(frame, DefaultMaxFrame, nil)
 		if err != nil {
-			t.Fatalf("exec produced an unreadable frame (%v): %x", err, frame)
+			t.Fatalf("exec produced an unreadable frame (%v): %x", err, batch[len(prefix):])
+		}
+		if frame.Len() != 0 {
+			t.Fatalf("exec appended %d bytes past its response frame", frame.Len())
 		}
 		if rid != id {
 			t.Fatalf("response id %d does not echo request id %d", rid, id)

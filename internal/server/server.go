@@ -21,14 +21,6 @@ import (
 type Options struct {
 	// MaxFrame caps a single request frame; DefaultMaxFrame when 0.
 	MaxFrame uint32
-	// ReadBuffer / WriteBuffer size the per-connection bufio layers;
-	// 64 KiB when 0. The write buffer is the coalescing window: one
-	// flush can carry hundreds of pipelined responses.
-	ReadBuffer, WriteBuffer int
-	// OutQueue is the per-session response queue depth (default 256).
-	// The reader parks when the queue is full, which backpressures a
-	// client that pipelines faster than its link drains.
-	OutQueue int
 	// Obs is the metric registry the server registers into; a private
 	// registry when nil. growd passes obs.Default so the server's
 	// series share /metrics and the STATS opcode with the core and
@@ -46,19 +38,34 @@ func (o *Options) defaults() {
 	if o.MaxFrame == 0 {
 		o.MaxFrame = DefaultMaxFrame
 	}
-	if o.ReadBuffer == 0 {
-		o.ReadBuffer = 64 << 10
-	}
-	if o.WriteBuffer == 0 {
-		o.WriteBuffer = 64 << 10
-	}
-	if o.OutQueue == 0 {
-		o.OutQueue = 256
-	}
 	if o.SlowOpThreshold == 0 {
 		o.SlowOpThreshold = DefaultSlowOpThreshold
 	}
 }
+
+// Per-connection buffering. A batch is every request frame already
+// whole in the read buffer once the blocking read of its first frame
+// returns; its responses go into one buffer, closed once it reaches the
+// write buffer's size, and reach the writer in one channel send.
+const (
+	readBuffer  = 64 << 10
+	writeBuffer = 64 << 10
+	batchBytes  = writeBuffer
+	// outQueue is the per-session response queue depth, in batches: a
+	// client that stops reading parks about 512 KiB of responses, and
+	// the reader parks behind them — the backpressure on a client that
+	// pipelines faster than its link drains.
+	outQueue = 8
+	// The writer hands spent batch buffers back on a free channel of
+	// spareBatches slots: while the reader fills one batch the writer
+	// returns the last, and a second slot keeps one more from a drained
+	// backlog. A buffer grown past spareCap goes to the collector, so an
+	// idle session keeps at most 2×128 KiB of spares. A new buffer
+	// starts at newBatchCap and grows as its batch needs.
+	spareBatches = 2
+	spareCap     = 2 * batchBytes
+	newBatchCap  = 4 << 10
+)
 
 // Stats is a snapshot of the server's counters. The hit/miss/expired/
 // evicted block is sourced from the cache layer: hits and misses count
@@ -121,10 +128,12 @@ func newMetrics(reg *obs.Registry) metrics {
 // connection gets a session: the reader goroutine parses and executes
 // the pipeline in order against the shared cache (which pools its own
 // map handles — core handles register never-deregistered per-handle
-// state, so they are recycled there, one per open connection), the writer
-// goroutine drains the response queue into a buffered writer and
-// flushes only when the queue runs empty — so a deep pipeline pays one
-// syscall per batch, not per response.
+// state, so they are recycled there, one per open connection). The
+// reader runs every frame already whole in its read buffer as one
+// batch, appending the responses to one buffer it hands the writer in
+// one send; the writer goroutine copies batches into a buffered writer
+// and flushes only when the queue runs empty — so a deep pipeline pays
+// one wakeup per batch and one syscall per flush, not per response.
 type Server struct {
 	st  *Store
 	opt Options
@@ -269,18 +278,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //     flushes what's pending and closes the conn;
 //   - write error → writer closes the conn and its done channel; the
 //     blocked reader's Read fails and the reader unwinds;
-//   - protocol error → reader enqueues a final StatusErr response and
-//     closes the queue (terminal: framing cannot resync).
+//   - protocol error → reader sends the batch's responses built so far
+//     ending in a StatusErr response and closes the queue (terminal:
+//     framing cannot resync).
 //
 // Either way both goroutines exit and the connection is untracked — the
 // disconnect-mid-pipeline test drives every path.
 func (s *Server) session(conn net.Conn) {
 	defer s.wg.Done()
-	out := make(chan []byte, s.opt.OutQueue)
+	out := make(chan []byte, outQueue)
+	free := make(chan []byte, spareBatches)
 	done := make(chan struct{})
 
-	go s.writeLoop(conn, out, done)
-	s.readLoop(conn, out, done)
+	go s.writeLoop(conn, out, free, done)
+	s.readLoop(conn, out, free, done)
 
 	<-done // writer owns conn.Close; wait so untracking is ordered after it
 	s.mu.Lock()
@@ -291,29 +302,35 @@ func (s *Server) session(conn net.Conn) {
 
 // writeLoop drains out into a buffered writer, flushing only when the
 // queue is momentarily empty — the write-coalescing half of the
-// pipelining story. Closes conn and done on exit.
+// pipelining story. Each batch, once copied, goes back to the reader on
+// free (dropped when free is full or the batch grew past spareCap).
+// Closes conn and done on exit.
 //
 //growt:hotpath
-func (s *Server) writeLoop(conn net.Conn, out <-chan []byte, done chan<- struct{}) {
+func (s *Server) writeLoop(conn net.Conn, out <-chan []byte, free chan<- []byte, done chan<- struct{}) {
 	defer close(done)
 	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, s.opt.WriteBuffer)
-	for frame := range out {
-		if _, err := bw.Write(frame); err != nil {
-			return
-		}
-		for coalescing := true; coalescing; {
+	bw := bufio.NewWriterSize(conn, writeBuffer)
+	for batch := range out {
+		for batch != nil {
+			if _, err := bw.Write(batch); err != nil {
+				return
+			}
+			if cap(batch) <= spareCap {
+				select {
+				case free <- batch[:0]:
+				default:
+				}
+			}
+			batch = nil
 			select {
 			case next, ok := <-out:
 				if !ok {
 					bw.Flush()
 					return
 				}
-				if _, err := bw.Write(next); err != nil {
-					return
-				}
+				batch = next
 			default:
-				coalescing = false
 			}
 		}
 		if bw.Flush() != nil {
@@ -323,81 +340,115 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan []byte, done chan<- struct{
 	bw.Flush()
 }
 
-// readLoop parses and executes the request pipeline in order. It owns
-// the out channel and always closes it on exit. The cache session is
-// per-connection: one pooled map handle is pinned here for the
-// connection's whole life, so the ops executed below never touch the
-// handle pool. The pool makes a handle for every connection that is
-// open at once; it has no cap for a connection to wait at.
-func (s *Server) readLoop(conn net.Conn, out chan<- []byte, done <-chan struct{}) {
+// readLoop parses and executes the request pipeline in order, a batch
+// at a time. A batch opens with a read that may block and goes on only
+// while the read buffer holds the next frame whole (frameBuffered), so
+// it never waits for bytes: an unpipelined request is a batch of one.
+// It closes at batchBytes of responses. It owns the out channel and
+// always closes it on exit.
+//
+// Each op is timed by chained stamps: one after the batch's blocking
+// read, one after every exec, so an op's latency is the gap to the
+// previous stamp — its own frame's decode and execution.
+//
+// The cache session is per-connection: one pooled map handle is pinned
+// here for the connection's whole life, so the ops executed below never
+// touch the handle pool. The pool makes a handle for every connection
+// that is open at once; it has no cap for a connection to wait at.
+func (s *Server) readLoop(conn net.Conn, out chan<- []byte, free <-chan []byte, done <-chan struct{}) {
 	defer close(out)
 	cs := s.st.C.NewSession()
 	defer cs.Close()
-	br := bufio.NewReaderSize(conn, s.opt.ReadBuffer)
-	var frameBuf []byte // ReadFrame scratch, reused across frames
+	br := bufio.NewReaderSize(conn, readBuffer)
+	var (
+		frameBuf []byte // ReadFrame scratch, reused across frames
+		batch    []byte // responses of the open batch; nil between batches
+		first    uint64 // request id that opened the batch
+		frames   uint64
+		stamp    int64
+	)
 	for {
 		id, kind, reqBody, nbuf, err := ReadFrame(br, s.opt.MaxFrame, frameBuf)
 		frameBuf = nbuf
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrMalformed) {
 				s.m.protocolErrs.Add(1)
-				// Best-effort terminal error; id is unknowable here (the
-				// frame could not be parsed past its length), so echo 0.
-				s.trySend(out, done, errFrame(nil, 0, err.Error()))
+				// Terminal; id is unknowable here (the frame could not be
+				// parsed past its length), so echo 0.
+				batch = errFrame(batch, 0, err.Error())
+				frames++
+			}
+			if frames > 0 {
+				s.trySend(out, done, batch, first, frames)
 			}
 			return // EOF, connection reset, or terminal protocol error
 		}
-		// Each response frame is freshly allocated: ownership moves to the
-		// writer goroutine at the send.
-		trace.Emit(trace.KindExecStart, uint64(kind), id, 0)
-		begin := time.Now()
-		resp, fatal := s.exec(cs, nil, id, kind, reqBody)
-		lat := time.Since(begin)
-		if lat < 0 {
-			lat = 0
+		if frames == 0 {
+			select {
+			case batch = <-free:
+			default:
+				batch = make([]byte, 0, newBatchCap)
+			}
+			first, stamp = id, trace.Now()
 		}
+		start := len(batch)
+		var fatal bool
+		batch, fatal = s.exec(cs, batch, id, kind, reqBody)
+		frames++
+		end := trace.Now()
+		lat := uint64(end - stamp)
+		stamp = end
 		if h := s.m.opLat[kind]; h != nil {
-			h.Observe(uint64(lat))
+			h.Observe(lat)
 		}
-		// The response status byte sits after the length and id words;
-		// every frame exec builds carries one.
-		status := StatusErr
-		if len(resp) > 4+frameHeader-1 {
-			status = resp[4+frameHeader-1]
-		}
-		trace.Emit(trace.KindExecEnd, uint64(kind), uint64(status), uint64(lat))
-		if thr := s.opt.SlowOpThreshold; thr > 0 && lat >= thr {
+		// The status byte sits after the length and id words; every
+		// frame exec appends carries one.
+		status := batch[start+4+frameHeader-1]
+		trace.EmitAt(end, trace.KindExecEnd, uint64(kind)|uint64(status)<<8, id, lat)
+		if thr := s.opt.SlowOpThreshold; thr > 0 && lat >= uint64(thr) {
 			var kh uint64
 			if key := keyOfRequest(kind, reqBody); len(key) > 0 {
 				kh = maphash.Bytes(storeSeed, key)
 			}
-			s.slow.insert(trace.Now(), kind, id, kh,
-				uint64(len(out)), s.st.C.Generation(), uint64(lat))
-		}
-		if !s.trySend(out, done, resp) {
-			return
+			s.slow.insert(end, kind, id, kh, uint64(len(out)), s.st.C.Generation(), lat)
 		}
 		if fatal {
 			s.m.protocolErrs.Add(1)
+			s.trySend(out, done, batch, first, frames)
 			return
 		}
+		if len(batch) < batchBytes && frameBuffered(br) {
+			continue
+		}
+		if !s.trySend(out, done, batch, first, frames) {
+			return
+		}
+		batch, first, frames = nil, 0, 0
 	}
 }
 
-// trySend enqueues a response unless the writer already died. The
-// queue occupancy sampled at every enqueue is the coalescing-depth
-// distribution: a writer keeping up samples near zero, a saturated
-// link samples near OutQueue.
-func (s *Server) trySend(out chan<- []byte, done <-chan struct{}, frame []byte) bool {
+// frameBuffered reports whether br already holds the next frame whole,
+// length word included, so reading it cannot block. It peeks; it never
+// reads from the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	lenb, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(lenb))
+}
+
+// trySend enqueues a batch — frames responses, the first of them
+// answering request id first — unless the writer already died. The queue occupancy
+// sampled at every enqueue is the coalescing-depth distribution, in
+// batches: a writer keeping up samples near zero, a saturated link
+// samples near outQueue.
+func (s *Server) trySend(out chan<- []byte, done <-chan struct{}, batch []byte, first, frames uint64) bool {
 	depth := uint64(len(out))
 	s.m.queueDepth.Observe(depth)
-	var id uint64
-	if len(frame) >= 12 {
-		id = binary.BigEndian.Uint64(frame[4:12])
-	}
-	trace.Emit(trace.KindEnqueue, id, depth, 0)
+	trace.Emit(trace.KindEnqueue, first, depth, frames)
 	select {
-	case out <- frame:
+	case out <- batch:
 		return true
 	case <-done:
 		return false
@@ -414,7 +465,9 @@ func errFrame(dst []byte, id uint64, msg string) []byte {
 }
 
 // exec executes one decoded request against the connection's cache
-// session and returns the encoded response frame. fatal marks
+// session and appends the encoded response frame to dst, the open
+// batch; bytes before len(dst) are never touched, error paths included
+// (they rewind to dst[:start] before answering). fatal marks
 // protocol-level failures (unknown opcode, body that does not parse)
 // after which the connection must close; operation failures (absent
 // key, CAS mismatch, non-counter INCR target) are ordinary statuses and

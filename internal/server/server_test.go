@@ -555,3 +555,128 @@ func TestManyConnections(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineBatches pins the reader's batch boundary: a batch is the
+// frames already whole in the read buffer, it keeps request order
+// through an error, never waits for a partial frame, and splits a
+// pipeline whose responses outgrow one batch.
+func TestPipelineBatches(t *testing.T) {
+	_, addr := startServer(t, server.Options{})
+
+	t.Run("error-mid-batch", func(t *testing.T) {
+		rc := dialRaw(t, addr)
+		var burst []byte
+		burst = append(burst, frame(1, server.OpSet, []byte("a"), []byte("va"))...)
+		burst = append(burst, frame(2, server.OpGet, []byte("a"))...)
+		burst = append(burst, frame(3, server.OpPing)...)
+		burst = append(burst, frame(4, 0x7F)...)
+		burst = append(burst, frame(5, server.OpGet, []byte("a"))...)
+		rc.send(burst)
+		for _, want := range []struct {
+			id     uint64
+			status byte
+			body   string
+		}{{1, server.StatusOK, ""}, {2, server.StatusOK, "va"}, {3, server.StatusOK, ""}} {
+			id, status, body, err := rc.read()
+			if err != nil || id != want.id || status != want.status || string(body) != want.body {
+				t.Fatalf("want id %d status %#x body %q; got id %d status %#x body %q err %v",
+					want.id, want.status, want.body, id, status, body, err)
+			}
+		}
+		if id, status, _, err := rc.read(); err != nil || id != 4 || status != server.StatusErr {
+			t.Fatalf("want StatusErr for id 4, got id=%d status=%#x err=%v", id, status, err)
+		}
+		if id, _, _, err := rc.read(); err != io.EOF {
+			t.Fatalf("want EOF after the terminal error, got id=%d err=%v", id, err)
+		}
+	})
+
+	t.Run("partial-frame-ends-batch", func(t *testing.T) {
+		rc := dialRaw(t, addr)
+		second := frame(2, server.OpPing)
+		rc.send(append(frame(1, server.OpPing), second[:5]...))
+		rc.c.SetReadDeadline(time.Now().Add(time.Second))
+		id, status, _, _, err := server.ReadFrame(rc.c, server.DefaultMaxFrame, nil)
+		if err != nil || id != 1 || status != server.StatusOK {
+			t.Fatalf("response 1 did not arrive within 1s of a partial frame 2: id=%d status=%#x err=%v", id, status, err)
+		}
+		rc.send(second[5:])
+		if id, status, _, err := rc.read(); err != nil || id != 2 || status != server.StatusOK {
+			t.Fatalf("want id 2 OK, got id=%d status=%#x err=%v", id, status, err)
+		}
+	})
+
+	t.Run("responses-beyond-one-batch", func(t *testing.T) {
+		rc := dialRaw(t, addr)
+		val := make([]byte, 1<<10)
+		for i := range val {
+			val[i] = byte(i)
+		}
+		rc.send(frame(1, server.OpSet, []byte("big"), val))
+		if _, status, _, err := rc.read(); err != nil || status != server.StatusOK {
+			t.Fatalf("set: status=%#x err=%v", status, err)
+		}
+		const n = 2000 // ~2 MiB of responses: many 64 KiB batches
+		var burst []byte
+		for i := uint64(0); i < n; i++ {
+			burst = append(burst, frame(i+2, server.OpGet, []byte("big"))...)
+		}
+		sent := make(chan error, 1)
+		go func() { _, err := rc.c.Write(burst); sent <- err }()
+		for i := uint64(0); i < n; i++ {
+			id, status, body, err := rc.read()
+			if err != nil || id != i+2 || status != server.StatusOK || string(body) != string(val) {
+				t.Fatalf("answer %d: id=%d status=%#x len=%d err=%v", i, id, status, len(body), err)
+			}
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestPipelinedGetAllocs pins what a pipelined GET allocates, server and
+// client together in this process. The client's frames are encoded once
+// and its reads go into one buffer; what is left is one allocation per
+// ReadFrame call on each side (the length word escapes through the
+// io.Reader). A response frame allocated per request, and grown from
+// nil, read 5.
+func TestPipelinedGetAllocs(t *testing.T) {
+	_, addr := startServer(t, server.Options{})
+	rc := dialRaw(t, addr)
+	rc.send(frame(1, server.OpSet, []byte("k"), []byte("value")))
+	if _, status, _, err := rc.read(); err != nil || status != server.StatusOK {
+		t.Fatalf("set: status=%#x err=%v", status, err)
+	}
+	const depth, n = 16, 4096
+	var round []byte
+	for i := uint64(0); i < depth; i++ {
+		round = append(round, frame(i, server.OpGet, []byte("k"))...)
+	}
+	var buf []byte
+	pipeline := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			rc.send(round)
+			for i := uint64(0); i < depth; i++ {
+				var id uint64
+				var status byte
+				var err error
+				id, status, _, buf, err = server.ReadFrame(rc.c, server.DefaultMaxFrame, buf)
+				if err != nil || id != i || status != server.StatusOK {
+					t.Fatalf("round %d answer %d: id=%d status=%#x err=%v", r, i, id, status, err)
+				}
+			}
+		}
+	}
+	rc.c.SetReadDeadline(time.Now().Add(30 * time.Second))
+	pipeline(16) // warm the session's buffers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pipeline(n / depth)
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.3f mallocs per pipelined GET", perReq)
+	if perReq > 2.1 {
+		t.Fatalf("%.3f mallocs per pipelined GET, want 2", perReq)
+	}
+}

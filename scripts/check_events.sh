@@ -6,10 +6,10 @@
 #   1. Well-formed JSON: the body must parse as an array of event
 #      objects (python3's json module when available, else a shape
 #      check on the envelope and record fields).
-#   2. Exec events: the request path must have recorded exec_start /
-#      exec_end lifecycle events — the smoke's growload burst ran
-#      thousands of ops, so an empty exec stream means the recorder is
-#      disconnected from the server.
+#   2. Exec events: the request path must have recorded exec_end
+#      events, at least one carrying a request id (a1, nonzero) — the
+#      smoke's growload burst ran thousands of ops, so an empty exec
+#      stream means the recorder is disconnected from the server.
 #   3. Migration phase events: the 20000-key prefill outgrows the
 #      default table, so the window (or at least the slower smoke
 #      traffic after it) must carry migration phase transitions —
@@ -42,9 +42,10 @@ else
   grep -q '"kind"' "$f" || fail "no kind fields in body"
 fi
 
-echo "==> exec lifecycle events present"
-grep -q '"kind":"exec_start"' "$f" || fail "no exec_start events in window"
-grep -q '"kind":"exec_end"' "$f"   || fail "no exec_end events in window"
+echo "==> exec events present, carrying request ids"
+grep -q '"kind":"exec_end"' "$f" || fail "no exec_end events in window"
+grep -Eq '"kind":"exec_end","a0":[0-9]+,"a1":[1-9]' "$f" ||
+  fail "no exec_end event carries a request id (a1)"
 
 echo "==> migration phase events present"
 grep -Eq '"kind":"mig_(arm|adopt|copy_slice|drain|flip)"' "$f" ||
