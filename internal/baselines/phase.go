@@ -243,40 +243,31 @@ func (t *Phase) Delete(k uint64) bool {
 	return ok
 }
 
-// deleteLocked performs the deletion under held locks. Returns
-// (deleted, needEscalation).
+// deleteLocked performs the deletion under held locks, on cells at most
+// spanCells-1 forward of home. It finds k and the empty cell that ends
+// its cluster before it moves anything, so a cluster that leaves the span
+// escalates with the table untouched. Returns (deleted, needEscalation).
 func (t *Phase) deleteLocked(k, home, spanCells uint64, unbounded bool) (bool, bool) {
-	// Locate k within the span.
-	i := home
-	found := false
-	for off := uint64(0); off < spanCells; off++ {
-		kw := t.loadKey(i)
+	hole, end, found := home, home, false
+	for off := uint64(0); ; off++ {
+		if off == spanCells {
+			return false, !unbounded
+		}
+		kw := t.loadKey(end)
 		if kw == 0 {
-			return false, false
+			break
 		}
 		if kw == k {
-			found = true
-			break
+			hole, found = end, true
 		}
-		i = (i + 1) & t.mask
+		end = (end + 1) & t.mask
 	}
 	if !found {
-		return false, !unbounded
+		return false, false
 	}
-	// Backward-shift repair (Knuth 6.4 Algorithm R).
-	hole := i
-	j := i
-	steps := uint64(0)
-	for {
-		j = (j + 1) & t.mask
-		steps++
-		if !unbounded && steps+((home+t.mask+1-hole)&t.mask) >= spanCells {
-			return false, true // would leave the locked span: escalate
-		}
+	// Backward-shift repair (Knuth 6.4 Algorithm R) over (hole, end).
+	for j := (hole + 1) & t.mask; j != end; j = (j + 1) & t.mask {
 		kj := t.loadKey(j)
-		if kj == 0 {
-			break
-		}
 		r := t.home(kj)
 		movable := false
 		if j > hole {

@@ -3,12 +3,14 @@
 //
 // The paper (§8.3) hashes keys with two CRC32-C (Castagnoli) instructions
 // seeded differently, concatenating the two 32-bit results into a 64-bit
-// hash; the hardware CRC instruction makes this nearly free. Hash64
-// computes the same two CRCs in software, by a byte-at-a-time loop over
-// hash/crc32's Castagnoli table: the same function as the paper's, not
-// its price (Go has no CRC intrinsic for a word). A SplitMix64-style
-// avalanche finalizer is also provided for tables that want stronger
-// diffusion of the low bits (chaining/cuckoo baselines).
+// hash; the hardware CRC instruction makes this nearly free. Hash64 is
+// that construction. On amd64 it runs two CRC32Q instructions
+// (hash_amd64.s) when a CPUID check made once at start-up finds SSE4.2;
+// elsewhere, and on an amd64 CPU without SSE4.2, it falls back to a
+// byte-at-a-time loop over hash/crc32's Castagnoli table that gives the
+// same bits. A SplitMix64-style avalanche finalizer is also provided for
+// tables that want stronger diffusion of the low bits (chaining/cuckoo
+// baselines).
 package hashfn
 
 import "hash/crc32"
@@ -38,10 +40,11 @@ func crc32cUint64(seed uint32, x uint64) uint32 {
 // Hash64 maps a 64-bit key to a 64-bit pseudorandom hash using two
 // independently seeded CRC32-C passes (upper and lower 32 bits), the
 // construction from §8.3 of the paper.
-func Hash64(key uint64) uint64 {
-	hi := crc32cUint64(seedHi, key)
-	lo := crc32cUint64(seedLo, key)
-	return uint64(hi)<<32 | uint64(lo)
+func Hash64(key uint64) uint64 { return crcPair(key) }
+
+// crcPairLoop is Hash64 by the table loop: the portable path.
+func crcPairLoop(key uint64) uint64 {
+	return uint64(crc32cUint64(seedHi, key))<<32 | uint64(crc32cUint64(seedLo, key))
 }
 
 // Avalanche applies a SplitMix64/MurmurHash3-style finalizer. It is a

@@ -3,6 +3,7 @@ package hashfn
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -15,20 +16,34 @@ func TestHash64Deterministic(t *testing.T) {
 	}
 }
 
-// TestHash64IsCRC32C: the table loop must compute what crc32.Update
-// computes over the key's 8 little-endian bytes, without allocating.
+// hashPath is one way this build computes Hash64.
+type hashPath struct {
+	name string
+	f    func(uint64) uint64
+}
+
+// TestHash64IsCRC32C: every path — Hash64 as dispatched, the table loop
+// called directly, and on amd64 the CRC32Q instructions and their jump to
+// the loop — must compute what crc32.Update computes over the key's 8
+// little-endian bytes, without allocating.
 func TestHash64IsCRC32C(t *testing.T) {
-	for k := uint64(0); k < 10000; k++ {
-		x := k * 0x9E3779B97F4A7C15
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], x)
-		want := uint64(crc32.Update(seedHi, castagnoli, b[:]))<<32 | uint64(crc32.Update(seedLo, castagnoli, b[:]))
-		if got := Hash64(x); got != want {
-			t.Fatalf("Hash64(%#x) = %#x, crc32.Update gives %#x", x, got, want)
-		}
+	keys := []uint64{0, 1, 1 << 63, math.MaxUint64, 1<<63 - 2} // the last is core.MaxKey
+	for k := uint64(0); k < 100000; k++ {
+		keys = append(keys, k*0x9E3779B97F4A7C15)
 	}
-	if n := testing.AllocsPerRun(1000, func() { Hash64(42) }); n != 0 {
-		t.Fatalf("Hash64 allocates %v times per call", n)
+	paths := append([]hashPath{{"Hash64", Hash64}, {"loop", crcPairLoop}}, archPaths(t)...)
+	for _, p := range paths {
+		for _, x := range keys {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], x)
+			want := uint64(crc32.Update(seedHi, castagnoli, b[:]))<<32 | uint64(crc32.Update(seedLo, castagnoli, b[:]))
+			if got := p.f(x); got != want {
+				t.Fatalf("%s(%#x) = %#x, crc32.Update gives %#x", p.name, x, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(1000, func() { p.f(42) }); n != 0 {
+			t.Fatalf("%s allocates %v times per call", p.name, n)
+		}
 	}
 }
 
