@@ -16,24 +16,23 @@
 //
 // With -ttl the run becomes an expiring workload: -ttlp percent of the
 // writes are SETEX with that TTL, entries die under the load, and the
-// summary (and the BENCH record) reports the observed GET hit-rate —
-// the cache-serving probe against a growd running -default-ttl /
-// -max-entries.
+// summary reports the observed GET hit-rate — the cache-serving probe
+// against a growd running -default-ttl / -max-entries.
 //
-// Every run (unless -stats=false) scrapes the server's obs registry
-// over the STATS opcode before and after the measured window and
-// subtracts the snapshots, so the summary and the BENCH record carry
-// the server's own view of that exact window: per-opcode exec latency
-// percentiles, migration counts and pause histograms, and sweeper
-// progress — figures a client-side histogram cannot see.
+// Latencies are recorded in nanoseconds into an obs.Hist, the
+// histogram growd times its own requests with, so the client's and the
+// server's quantiles share one bucket scheme and one error bound (an
+// upper bound less than 1/16 above the exact value). Every run (unless
+// -stats=false) scrapes the server's obs registry over the STATS opcode
+// before and after the measured window and subtracts the snapshots, so
+// the summary carries the server's own view of that exact window:
+// per-opcode exec latency percentiles, migration counts and pause
+// histograms, and sweeper progress — figures a client-side histogram
+// cannot see.
 //
 //	growload -addr 127.0.0.1:7420 -conns 4 -depth 16 -duration 5s
-//	growload -rate 50000 -skew 1.05 -writep 20 -json BENCH_service.json
-//	growload -ttl 500ms -writep 30 -json BENCH_cache.json
-//
-// With -json the run is recorded as a service-kind record in the
-// versioned BENCH report schema (internal/bench/report), next to the
-// fig-experiments' records.
+//	growload -rate 50000 -skew 1.05 -writep 20
+//	growload -ttl 500ms -writep 30
 package main
 
 import (
@@ -43,13 +42,10 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench/lathist"
-	"repro/internal/bench/report"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/server"
@@ -73,9 +69,6 @@ func main() {
 		prefill  = flag.Bool("prefill", true, "SET every key once before timing starts")
 		dialwait = flag.Duration("dialwait", 10*time.Second, "keep retrying the initial connect until this deadline")
 		stats    = flag.Bool("stats", true, "scrape server-side STATS snapshots around the measured window")
-		jsonOut  = flag.String("json", "", "write a service-kind BENCH report to this path")
-		exp      = flag.String("exp", "svc-mixed", "experiment id recorded in the report")
-		table    = flag.String("table", "growd", "table label recorded in the report")
 	)
 	flag.Parse()
 	// Summary lines stay human-readable on stdout; errors and warnings
@@ -91,8 +84,7 @@ func main() {
 		fatal(fmt.Errorf("-keys must be >= 1"))
 	}
 	if *conns < 1 || *depth < 1 {
-		// Zero workers would "measure" nothing, exit 0, and write an
-		// all-zero record.
+		// Zero workers would "measure" nothing and exit 0.
 		fatal(fmt.Errorf("-conns and -depth must be >= 1"))
 	}
 
@@ -167,101 +159,38 @@ func main() {
 	if *rate > 0 {
 		mode = fmt.Sprintf("open@%g/s", *rate)
 	}
-	// The recorded experiment id carries every workload-defining knob:
-	// the comparator matches records by (exp, table, threads, param), so
-	// two growload runs may only gate against each other when they ran
-	// the same workload — a different write mix, TTL regime, or
-	// admission mode must be a different key, not a silent
-	// apples-to-oranges verdict.
-	ttlTag := ""
-	if *ttl > 0 {
-		ttlTag = fmt.Sprintf(",ttl%v@%d%%", *ttl, *ttlp)
-	}
-	recExp := fmt.Sprintf("%s[wp%d,v%d,k%d,d%d,%s%s]",
-		*exp, *writep, *valsize, *keys, *depth, mode, ttlTag)
-	mops := float64(res.completed) / res.seconds / 1e6
 	fmt.Printf("growload: %s loop, %d conns: %d ops in %.2fs = %.3f MOps/s (%d errors)\n",
-		mode, *conns, res.completed, res.seconds, mops, res.errors)
-	extra := fmt.Sprintf("ops=%d conns=%d", res.completed, *conns)
+		mode, *conns, res.completed, res.seconds, float64(res.completed)/res.seconds/1e6, res.errors)
 	if gets := res.hits + res.misses; gets > 0 {
-		rate := float64(res.hits) / float64(gets)
-		fmt.Printf("hit-rate: %.4f (%d hits, %d misses)\n", rate, res.hits, res.misses)
-		extra += fmt.Sprintf(" hit_rate=%.4f", rate)
+		fmt.Printf("hit-rate: %.4f (%d hits, %d misses)\n", float64(res.hits)/float64(gets), res.hits, res.misses)
 	}
+	lat := res.hist.Snapshot()
 	fmt.Printf("latency: p50 %v  p95 %v  p99 %v  mean %v\n",
-		res.hist.Quantile(0.50), res.hist.Quantile(0.95), res.hist.Quantile(0.99), res.hist.Mean())
-	extraMap := serverWindow(win, statsOK)
+		time.Duration(lat.Quantile(0.50)), time.Duration(lat.Quantile(0.95)),
+		time.Duration(lat.Quantile(0.99)), time.Duration(lat.Mean()))
+	if statsOK {
+		serverWindow(win)
+	}
 	if len(slowOps) > 0 {
-		if extraMap == nil {
-			extraMap = make(map[string]float64)
-		}
 		var maxLat uint64
 		for _, e := range slowOps {
 			if e.LatencyNanos > maxLat {
 				maxLat = e.LatencyNanos
 			}
 		}
-		extraMap["slow_ops"] = float64(len(slowOps))
-		extraMap["slow_op_max_us"] = nsf(maxLat)
 		last := slowOps[len(slowOps)-1]
 		fmt.Printf("server: %d slow ops logged, slowest %v; latest: %s gen=%d qdepth=%d\n",
 			len(slowOps), time.Duration(maxLat), last.Op, last.Generation, last.QueueDepth)
-	}
-
-	if *jsonOut != "" {
-		rec := report.Record{
-			Kind:      report.KindService,
-			Exp:       recExp,
-			Table:     *table,
-			Threads:   *conns * *depth,
-			Param:     *skew,
-			ParamName: "skew",
-			MOps:      mops,
-			Seconds:   res.seconds,
-			// One measured window; the comparator's median falls back to it.
-			SampleSecs: []float64{res.seconds},
-			Extra:      extra,
-			ExtraMap:   extraMap,
-			P50us:      us(res.hist.Quantile(0.50)),
-			P95us:      us(res.hist.Quantile(0.95)),
-			P99us:      us(res.hist.Quantile(0.99)),
-			MeanUs:     us(res.hist.Mean()),
-		}
-		// N records the configured key universe — a true config knob;
-		// the measured op count lives in the record's Extra.
-		rep := report.NewFromRecords(report.RunConfig{
-			N:       *keys,
-			Threads: []int{*conns * *depth},
-			Skews:   []float64{*skew},
-			WPs:     []int{*writep},
-			Repeat:  1,
-		}, []report.Record{rec}, "growload "+strings.Join(os.Args[1:], " "))
-		if err := rep.Save(*jsonOut); err != nil {
-			fatal(err)
-		}
-		slog.Info("wrote service record", "path", *jsonOut)
 	}
 	if res.errors > 0 {
 		os.Exit(1)
 	}
 }
 
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// nsf converts an obs nanosecond figure to microseconds for the record.
-func nsf(ns uint64) float64 { return float64(ns) / 1e3 }
-
-// serverWindow prints the server-side view of the measured window and
-// returns its machine-readable form for the BENCH record's ExtraMap.
+// serverWindow prints the server-side view of the measured window.
 // Series names mirror docs/OBSERVABILITY.md; a series the server did
-// not register simply reads as zero and is left out of the map.
-func serverWindow(win obs.Snapshot, ok bool) map[string]float64 {
-	if !ok {
-		return nil
-	}
-	em := map[string]float64{
-		"srv_ops": float64(win.Counter("growd_ops_total")),
-	}
+// not register simply reads as zero and is left out.
+func serverWindow(win obs.Snapshot) {
 	fmt.Printf("server: %d ops executed in-window\n", win.Counter("growd_ops_total"))
 
 	// Per-opcode exec latency: the server's view of the same requests
@@ -271,7 +200,6 @@ func serverWindow(win obs.Snapshot, ok bool) map[string]float64 {
 		if h.Count == 0 {
 			continue
 		}
-		em["srv_"+op+"_p99_us"] = nsf(h.Quantile(0.99))
 		fmt.Printf("server: %s exec p50 %v p99 %v max %v (%d ops)\n", op,
 			time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.99)),
 			time.Duration(h.Max), h.Count)
@@ -280,26 +208,17 @@ func serverWindow(win obs.Snapshot, ok bool) map[string]float64 {
 	// Migration-pause tracing: how many generations flipped under the
 	// load, how long the copies ran, and what the enslaved user
 	// operations paid — the §8 growth-pause tail, measured in situ.
+	// The derived figures are only printed when migrations actually
+	// completed in the window: a 0-valued p99 reads like a measurement
+	// of instant migrations, which is exactly the wrong conclusion.
 	migs := win.Counter(`growt_migrations_total{trigger="grow"}`) +
 		win.Counter(`growt_migrations_total{trigger="shrink"}`) +
 		win.Counter(`growt_migrations_total{trigger="cleanup"}`)
-	// The count itself is always honest (zero means zero); the derived
-	// figures — cells copied, wall/assist percentiles — are only
-	// recorded and printed when migrations actually completed in the
-	// window. A 0-valued p99 in the record reads like a measurement of
-	// instant migrations, which is exactly the wrong conclusion.
-	em["migrations"] = float64(migs)
 	if migs > 0 {
 		wall := win.Hist("growt_migration_wall_nanos")
 		assist := win.Hist("growt_migration_assist_nanos")
-		em["mig_cells_copied"] = float64(win.Counter("growt_migration_cells_copied_total"))
 		// Sub keeps the cumulative Max (a max cannot be windowed); it is
 		// still an upper bound for every in-window migration.
-		if wall.Count > 0 {
-			em["mig_wall_max_us"] = nsf(wall.Max)
-		}
-		em["mig_assist_p99_us"] = nsf(assist.Quantile(0.99))
-		em["mig_assist_count"] = float64(assist.Count)
 		fmt.Printf("server: %d migrations (%d cells copied), wall p99 %v max %v; assist p99 %v over %d assisted ops\n",
 			migs, win.Counter("growt_migration_cells_copied_total"),
 			time.Duration(wall.Quantile(0.99)), time.Duration(wall.Max),
@@ -307,13 +226,10 @@ func serverWindow(win obs.Snapshot, ok bool) map[string]float64 {
 	}
 
 	// Sweeper progress (expiring workloads; zero otherwise).
-	em["sweep_visited"] = float64(win.Counter("growt_cache_sweep_visited_total"))
-	em["sweep_removed"] = float64(win.Counter("growt_cache_sweep_removed_total"))
 	if v := win.Counter("growt_cache_sweep_visited_total"); v > 0 {
 		fmt.Printf("server: sweeper visited %d, removed %d in-window\n",
 			v, win.Counter("growt_cache_sweep_removed_total"))
 	}
-	return em
 }
 
 // doPrefill SETs every key once through the pipeline (async, so the
@@ -361,13 +277,13 @@ type runResult struct {
 	hits      uint64 // GETs answered OK
 	misses    uint64 // GETs answered NOT_FOUND (expired or never set)
 	seconds   float64
-	hist      *lathist.H
+	hist      *obs.Hist // nanoseconds
 }
 
 // closedLoop runs workers synchronous request loops until the deadline.
 // Latency is measured around each round trip.
 func (r *runner) closedLoop(workers int, d time.Duration) runResult {
-	hist := &lathist.H{}
+	hist := &obs.Hist{}
 	var completed, errors, hits, misses atomic.Uint64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -394,13 +310,13 @@ func (r *runner) closedLoop(workers int, d time.Duration) runResult {
 				default:
 					_, found, err = r.cl.Get(key)
 				}
-				hist.Record(time.Since(t0))
+				hist.ObserveSince(t0)
 				if err != nil {
 					errors.Add(1)
 					if stderrors.Is(err, client.ErrClosed) {
 						// The connection is gone for good: spinning would
 						// count millions of instant failures and drown the
-						// latency histogram in 1µs error samples.
+						// latency histogram in instant error samples.
 						return
 					}
 					continue
@@ -432,7 +348,7 @@ func (r *runner) closedLoop(workers int, d time.Duration) runResult {
 // that queue behind a slow server accrue their waiting time (the
 // coordinated-omission-free measurement).
 func (r *runner) openLoop(rate float64, d time.Duration) runResult {
-	hist := &lathist.H{}
+	hist := &obs.Hist{}
 	var completed, errors, hits, misses atomic.Uint64
 	var issued uint64
 	var wg sync.WaitGroup
@@ -458,7 +374,7 @@ func (r *runner) openLoop(rate float64, d time.Duration) runResult {
 			withTTL := isWrite && r.ttl > 0 && int(mix.Uint64()%100) < r.ttlp
 			wg.Add(1)
 			cb := func(resp client.Resp) {
-				hist.Record(time.Since(sched))
+				hist.ObserveSince(sched)
 				switch {
 				case resp.Err != nil || (resp.Status != server.StatusOK && resp.Status != server.StatusNotFound):
 					errors.Add(1)

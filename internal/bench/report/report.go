@@ -1,6 +1,6 @@
 // Package report defines the versioned, machine-readable benchmark
-// report format that `growbench -json` and `growload -json` write for
-// the §8 evaluation suite and the served scenarios.
+// report format that `growbench -json` writes for the §8 evaluation
+// suite.
 //
 // A report captures everything needed to interpret a number months
 // later: the exact run configuration, the environment it ran in (go
@@ -57,19 +57,10 @@ type RunConfig struct {
 	Repeat  int       `json:"repeat"`
 }
 
-// KindService marks records measured through the network service layer
-// (growd + growload) rather than in-process: MOps is end-to-end served
-// throughput and the latency percentiles are populated. Table-scenario
-// records leave Kind empty.
-const KindService = "service"
-
 // Record is one measured data point — a lossless serialization of
 // bench.Result. SampleSecs holds the unaveraged wall time of each
 // repeat; Seconds and MOps are the harness's mean-of-repeats values.
-// Service-kind records additionally carry client-observed latency
-// percentiles in microseconds.
 type Record struct {
-	Kind       string    `json:"kind,omitempty"` // "" = table scenario, KindService = served
 	Exp        string    `json:"exp"`
 	Table      string    `json:"table"`
 	Threads    int       `json:"threads"`
@@ -80,19 +71,6 @@ type Record struct {
 	SampleSecs []float64 `json:"sample_secs,omitempty"`
 	Bytes      uint64    `json:"bytes,omitempty"` // live backing memory (fig10)
 	Extra      string    `json:"extra,omitempty"`
-
-	// ExtraMap carries machine-readable auxiliary figures keyed by
-	// name — growload records the server-side stats it scrapes over
-	// the STATS opcode here (per-opcode exec p99s, migration counts
-	// and pause percentiles, sweeper progress). Additive in schema v1:
-	// absent in older files, ignored by older readers.
-	ExtraMap map[string]float64 `json:"extra_map,omitempty"`
-
-	// Latency percentiles and mean, microseconds (service records only).
-	P50us  float64 `json:"p50_us,omitempty"`
-	P95us  float64 `json:"p95_us,omitempty"`
-	P99us  float64 `json:"p99_us,omitempty"`
-	MeanUs float64 `json:"mean_us,omitempty"`
 }
 
 // paramName labels the Param axis per experiment family, so a report
@@ -133,28 +111,20 @@ func FromResults(results []bench.Result) []Record {
 // environment, current timestamp, and the converted results. command
 // records how to regenerate the file.
 func New(cfg *bench.Config, results []bench.Result, command string) *Report {
-	return NewFromRecords(RunConfig{
-		N:       cfg.N,
-		Threads: cfg.Threads,
-		Tables:  cfg.Tables,
-		Skews:   cfg.Skews,
-		WPs:     cfg.WPs,
-		Repeat:  cfg.Repeat,
-	}, FromResults(results), command)
-}
-
-// NewFromRecords assembles a report from already-built records — the
-// entry point for producers that are not the §8 harness (growload's
-// service scenarios). Schema versioning, environment capture, and
-// timestamping stay in exactly one place.
-func NewFromRecords(cfg RunConfig, recs []Record, command string) *Report {
 	return &Report{
 		SchemaVersion: SchemaVersion,
 		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
 		Command:       command,
 		Env:           CaptureEnv(),
-		Config:        cfg,
-		Results:       recs,
+		Config: RunConfig{
+			N:       cfg.N,
+			Threads: cfg.Threads,
+			Tables:  cfg.Tables,
+			Skews:   cfg.Skews,
+			WPs:     cfg.WPs,
+			Repeat:  cfg.Repeat,
+		},
+		Results: FromResults(results),
 	}
 }
 

@@ -82,29 +82,3 @@ func TestFromResults(t *testing.T) {
 		t.Errorf("lossy conversion: %+v", r)
 	}
 }
-
-// TestServiceRecordRoundTrip: the service-kind record (growload) with
-// its latency percentiles must survive a save.
-func TestServiceRecordRoundTrip(t *testing.T) {
-	svc := Record{
-		Kind: KindService, Exp: "svc-mixed", Table: "growd", Threads: 64,
-		Param: 0.99, ParamName: "skew", MOps: 1.25, Seconds: 4.0,
-		SampleSecs: []float64{4.0},
-		Extra:      "mode=closed depth=16 wp=10 val=32B keys=100000",
-		P50us:      180, P95us: 410, P99us: 950, MeanUs: 210,
-	}
-	rep := NewFromRecords(RunConfig{N: 5_000_000, Threads: []int{64},
-		Skews: []float64{0.99}, WPs: []int{10}, Repeat: 1},
-		[]Record{svc}, "growload -conns 4 -depth 16")
-	path := filepath.Join(t.TempDir(), "BENCH_svc.json")
-	if err := rep.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got := load(t, path)
-	if !reflect.DeepEqual(got.Results, rep.Results) {
-		t.Fatalf("service record mangled:\n got %+v\nwant %+v", got.Results, rep.Results)
-	}
-	if got.Results[0].Kind != KindService || got.Results[0].P99us != 950 {
-		t.Fatalf("latency fields lost: %+v", got.Results[0])
-	}
-}

@@ -7,21 +7,45 @@ import (
 	"time"
 )
 
-// histBuckets is the fixed bucket count: one bucket per possible
-// bit-length of a uint64 value, plus bucket 0 for the value zero.
-// Bucket i (i ≥ 1) holds values v with 2^(i-1) ≤ v < 2^i; its upper
-// bound is 2^i − 1. Factor-of-two buckets cost nothing to index
-// (bits.Len64) and bound every quantile estimate within 2× of exact —
-// plenty to tell a 50 µs p99 from a 5 ms migration stall.
-const histBuckets = 65
+// subBits is log2 of the linear sub-buckets per power of two. Values
+// below 2·2^subBits (32) get a bucket each; above that, the octave
+// [2^k, 2^(k+1)) is cut into 16 equal buckets of width 2^(k−4), so a
+// bucket's upper bound overestimates any value in it by less than
+// 1/16 of the value.
+const subBits = 4
 
-// Hist is a lock-free log2 latency histogram. Observe is three atomic
-// adds plus a bounded max-CAS — no locks, no allocation — so it is safe
-// inside //growt:hotpath code. Buckets deliberately share cache lines
-// (a 65×128-byte padded layout would cost 8 KiB per histogram and the
-// write rate per histogram is far below per-counter rates); the count
-// and sum words, hit on every Observe, get their own padding via the
-// struct layout below.
+// histBuckets is the bucket count, 976: 32 exact buckets for 0..31,
+// then 16 for each of the 59 octaves from [32, 64) to [2^63, 2^64).
+const histBuckets = (65 - subBits) << subBits
+
+// bucketOf maps a value to its bucket: s = max(bitlen(v) − 5, 0) is how
+// far the value is shifted to keep its top five bits, and those bits
+// (16..31 once s > 0) pick the sub-bucket within octave s.
+func bucketOf(v uint64) int {
+	s := bits.Len64(v >> (subBits + 1))
+	return s<<subBits + int(v>>s)
+}
+
+// bucketUpper is the largest value bucket i can hold: i itself below
+// 32, otherwise (m+1)·2^s − 1 for i = 16·s + m with 16 ≤ m < 32. The
+// top bucket's bound wraps to MaxUint64.
+func bucketUpper(i int) uint64 {
+	if i < 2<<subBits {
+		return uint64(i)
+	}
+	s := uint(i>>subBits - 1)
+	m := uint64(i&(1<<subBits-1) + 1<<subBits)
+	return (m+1)<<s - 1
+}
+
+// Hist is a lock-free latency histogram with 16 linear sub-buckets per
+// power of two. Observe is three atomic adds plus a bounded max-CAS —
+// no locks, no allocation — so it is safe inside //growt:hotpath code.
+// Buckets deliberately share cache lines (a padded layout would cost
+// 125 KiB per histogram and the write rate per histogram is far below
+// per-counter rates); the count, sum and max words, hit on every
+// Observe, follow the array rather than sharing a line with its
+// busiest low buckets.
 type Hist struct {
 	//growt:atomic
 	b [histBuckets]atomic.Uint64
@@ -36,7 +60,7 @@ type Hist struct {
 //
 //growt:hotpath
 func (h *Hist) Observe(v uint64) {
-	h.b[bits.Len64(v)].Add(1)
+	h.b[bucketOf(v)].Add(1)
 	h.n.Add(1)
 	h.sum.Add(v)
 	for {
@@ -61,30 +85,34 @@ func (h *Hist) ObserveSince(start time.Time) {
 	h.Observe(uint64(d))
 }
 
-// Snapshot captures the histogram. Concurrent Observes may land
-// between the field reads (count/sum/buckets can disagree by the few
-// in-flight observations); the snapshot is self-consistent once
-// writers quiesce, and windowed deltas via Sub inherit the same
-// tolerance.
+// Snapshot captures the histogram, its buckets cut after the one that
+// holds Max, so a snapshot grows with the range actually observed.
+// Max is read first: an Observe bumps its bucket before it raises the
+// max, so every value up to that Max is in the captured buckets.
+// Concurrent Observes may still land between the field reads
+// (count/sum/buckets can disagree by the few in-flight observations);
+// the snapshot is self-consistent once writers quiesce, and windowed
+// deltas via Sub inherit the same tolerance.
 func (h *Hist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	for i := 0; i < histBuckets; i++ {
+	s := HistSnapshot{Max: h.max.Load()}
+	s.Buckets = make([]uint64, bucketOf(s.Max)+1)
+	for i := range s.Buckets {
 		s.Buckets[i] = h.b[i].Load()
 	}
 	s.Count = h.n.Load()
 	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
 	return s
 }
 
 // HistSnapshot is a point-in-time copy of a Hist: a plain value that
 // marshals to JSON, merges across shards or servers, and subtracts to
-// form windows.
+// form windows. Buckets may be shorter than histBuckets (missing
+// buckets are empty), and the zero value is an empty histogram.
 type HistSnapshot struct {
-	Count   uint64              `json:"count"`
-	Sum     uint64              `json:"sum"`
-	Max     uint64              `json:"max"`
-	Buckets [histBuckets]uint64 `json:"buckets"`
+	Count   uint64   `json:"count"`
+	Sum     uint64   `json:"sum"`
+	Max     uint64   `json:"max"`
+	Buckets []uint64 `json:"buckets"`
 }
 
 // Merge returns the combination of s and o, as if every observation
@@ -93,11 +121,11 @@ func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
 	out := s
 	out.Count += o.Count
 	out.Sum += o.Sum
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	for i := range out.Buckets {
-		out.Buckets[i] += o.Buckets[i]
+	out.Max = max(s.Max, o.Max)
+	out.Buckets = make([]uint64, max(len(s.Buckets), len(o.Buckets)))
+	copy(out.Buckets, s.Buckets)
+	for i, c := range o.Buckets {
+		out.Buckets[i] += c
 	}
 	return out
 }
@@ -111,8 +139,12 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	out := s
 	out.Count = satSub(s.Count, prev.Count)
 	out.Sum = satSub(s.Sum, prev.Sum)
-	for i := range out.Buckets {
-		out.Buckets[i] = satSub(s.Buckets[i], prev.Buckets[i])
+	out.Buckets = make([]uint64, len(s.Buckets))
+	for i, c := range s.Buckets {
+		if i < len(prev.Buckets) {
+			c = satSub(c, prev.Buckets[i])
+		}
+		out.Buckets[i] = c
 	}
 	return out
 }
@@ -121,10 +153,10 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 // the recorded values: the upper bound of the bucket containing the
 // ceil(q·n)-th smallest observation, clamped to the exact tracked Max
 // (every observation is ≤ Max, so the clamp only tightens the top
-// bucket's bound — a p99 can never read above the max). Because
-// buckets span a factor of two, the true quantile lies in
-// (result/2, result]. Returns 0 for an empty snapshot; q ≥ 1 returns
-// the bound of the highest occupied bucket.
+// bucket's bound — a p99 can never read above the max). For the exact
+// order statistic x the result e satisfies x ≤ e < x + x/16 (e = x
+// below 32). Returns 0 for an empty snapshot; q ≥ 1 returns the bound
+// of the highest occupied bucket.
 func (s HistSnapshot) Quantile(q float64) uint64 {
 	if s.Count == 0 {
 		return 0
@@ -143,7 +175,7 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 			return s.clampMax(bucketUpper(i))
 		}
 	}
-	return s.clampMax(bucketUpper(histBuckets - 1))
+	return s.clampMax(math.MaxUint64)
 }
 
 // clampMax tightens a bucket upper bound with the exact maximum (in a
@@ -163,16 +195,4 @@ func (s HistSnapshot) Mean() uint64 {
 		return 0
 	}
 	return s.Sum / s.Count
-}
-
-// bucketUpper is the largest value bucket i can hold: 0 for bucket 0,
-// 2^i − 1 for the rest (saturating at MaxUint64 for the top bucket).
-func bucketUpper(i int) uint64 {
-	if i == 0 {
-		return 0
-	}
-	if i >= 64 {
-		return math.MaxUint64
-	}
-	return 1<<uint(i) - 1
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -11,30 +12,36 @@ import (
 
 func TestHistBasics(t *testing.T) {
 	var h Hist
-	for _, v := range []uint64{0, 1, 2, 3, 4, 1000} {
+	for _, v := range []uint64{0, 1, 2, 3, 31, 32, 33, 1000} {
 		h.Observe(v)
 	}
 	s := h.Snapshot()
-	if s.Count != 6 {
-		t.Errorf("Count = %d, want 6", s.Count)
+	if s.Count != 8 {
+		t.Errorf("Count = %d, want 8", s.Count)
 	}
-	if s.Sum != 1010 {
-		t.Errorf("Sum = %d, want 1010", s.Sum)
+	if s.Sum != 1102 {
+		t.Errorf("Sum = %d, want 1102", s.Sum)
 	}
 	if s.Max != 1000 {
 		t.Errorf("Max = %d, want 1000", s.Max)
 	}
-	if s.Buckets[0] != 1 { // value 0
-		t.Errorf("bucket 0 = %d, want 1", s.Buckets[0])
+	// Values below 32 have a bucket each; 32 and 33 share the first
+	// two-wide bucket of the octave [32, 64).
+	for _, c := range []struct {
+		bucket int
+		want   uint64
+	}{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 0}, {31, 1}, {32, 2}, {33, 0}} {
+		if got := s.Buckets[c.bucket]; got != c.want {
+			t.Errorf("bucket %d = %d, want %d", c.bucket, got, c.want)
+		}
 	}
-	if s.Buckets[1] != 1 { // value 1
-		t.Errorf("bucket 1 = %d, want 1", s.Buckets[1])
+	// The snapshot ends at the bucket holding Max.
+	if len(s.Buckets) != bucketOf(1000)+1 || s.Buckets[len(s.Buckets)-1] != 1 {
+		t.Errorf("len(Buckets) = %d (last %d), want %d ending in Max's bucket",
+			len(s.Buckets), s.Buckets[len(s.Buckets)-1], bucketOf(1000)+1)
 	}
-	if s.Buckets[2] != 2 { // values 2,3
-		t.Errorf("bucket 2 = %d, want 2", s.Buckets[2])
-	}
-	if got := s.Mean(); got != 1010/6 {
-		t.Errorf("Mean = %d, want %d", got, 1010/6)
+	if got := s.Mean(); got != 1102/8 {
+		t.Errorf("Mean = %d, want %d", got, 1102/8)
 	}
 }
 
@@ -46,9 +53,10 @@ func TestHistEmpty(t *testing.T) {
 	}
 }
 
-// TestQuantileErrorBound checks the log2 histogram's contract against
-// a reference sort: for every q, the reported quantile is an upper
-// bound on the exact order statistic and within a factor of two of it.
+// TestQuantileErrorBound checks the histogram's contract against a
+// reference sort: for every q, the reported quantile is an upper bound
+// on the exact order statistic and overestimates it by less than 1/16
+// (plus one for the integer division).
 func TestQuantileErrorBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	dists := map[string]func() uint64{
@@ -60,6 +68,9 @@ func TestQuantileErrorBound(t *testing.T) {
 			}
 			return uint64(rng.Intn(5_000_000)) + 1_000_000
 		},
+		// Log-uniform over 1 µs..1 s, in nanoseconds: the span a served
+		// request's latency ranges over.
+		"loguniform": func() uint64 { return uint64(1e3 * math.Pow(10, rng.Float64()*6)) },
 	}
 	for name, draw := range dists {
 		var h Hist
@@ -80,8 +91,8 @@ func TestQuantileErrorBound(t *testing.T) {
 			if got < exact {
 				t.Errorf("%s q=%v: estimate %d below exact %d", name, q, got, exact)
 			}
-			if exact > 0 && got >= 2*exact {
-				t.Errorf("%s q=%v: estimate %d not within 2x of exact %d", name, q, got, exact)
+			if got >= exact+exact/16+1 {
+				t.Errorf("%s q=%v: estimate %d not within 1/16 of exact %d", name, q, got, exact)
 			}
 		}
 		if s.Max != vals[len(vals)-1] {
@@ -160,7 +171,7 @@ func TestHistConcurrentMerge(t *testing.T) {
 	if got.Max != merged.Max {
 		t.Fatalf("Max: merged=%d shared=%d", merged.Max, got.Max)
 	}
-	if got.Buckets != merged.Buckets {
+	if !slices.Equal(got.Buckets, merged.Buckets) {
 		t.Fatal("bucket contents diverge between merged privates and shared")
 	}
 }
@@ -195,19 +206,81 @@ func TestObserveSince(t *testing.T) {
 	}
 }
 
-func TestBucketUpper(t *testing.T) {
-	cases := map[int]uint64{
-		0:  0,
-		1:  1,
-		2:  3,
-		3:  7,
-		10: 1023,
-		63: 1<<63 - 1,
-		64: math.MaxUint64,
+// TestHistMergeSubUnequal: snapshots cut at different lengths, and the
+// zero value, merge and subtract as if the missing buckets were empty.
+func TestHistMergeSubUnequal(t *testing.T) {
+	var small, big Hist
+	small.Observe(5)
+	big.Observe(5)
+	big.Observe(1 << 40)
+	s, b := small.Snapshot(), big.Snapshot()
+	if len(s.Buckets) >= len(b.Buckets) {
+		t.Fatalf("lengths %d, %d: want the small snapshot shorter", len(s.Buckets), len(b.Buckets))
 	}
-	for i, want := range cases {
-		if got := bucketUpper(i); got != want {
-			t.Errorf("bucketUpper(%d) = %d, want %d", i, got, want)
+	for _, m := range []HistSnapshot{s.Merge(b), b.Merge(s)} {
+		if m.Count != 3 || m.Sum != 10+1<<40 || m.Max != 1<<40 ||
+			len(m.Buckets) != len(b.Buckets) || m.Buckets[5] != 2 || m.Buckets[len(m.Buckets)-1] != 1 {
+			t.Errorf("merge = {Count:%d Sum:%d Max:%d len:%d}", m.Count, m.Sum, m.Max, len(m.Buckets))
+		}
+	}
+	if z := (HistSnapshot{}).Merge(b); z.Count != b.Count || !slices.Equal(z.Buckets, b.Buckets) {
+		t.Errorf("zero.Merge(b) = %+v, want %+v", z, b)
+	}
+	// Merging must not write through to either operand's buckets.
+	if s.Buckets[5] != 1 || b.Buckets[5] != 1 {
+		t.Errorf("merge aliased an operand: %d, %d", s.Buckets[5], b.Buckets[5])
+	}
+	if w := b.Sub(s); w.Count != 1 || w.Buckets[5] != 0 || w.Quantile(1) != 1<<40 {
+		t.Errorf("b.Sub(s) = {Count:%d bucket5:%d p100:%d}", w.Count, w.Buckets[5], w.Quantile(1))
+	}
+	if w := b.Sub(HistSnapshot{}); w.Count != b.Count || !slices.Equal(w.Buckets, b.Buckets) {
+		t.Errorf("b.Sub(zero) = %+v, want %+v", w, b)
+	}
+	// A longer prev (a restarted server) saturates to an empty window.
+	if w := s.Sub(b); w.Count != 0 || len(w.Buckets) != len(s.Buckets) || w.Buckets[5] != 0 {
+		t.Errorf("s.Sub(b) = %+v, want empty", w)
+	}
+	if w := (HistSnapshot{}).Sub(b); w.Count != 0 || w.Quantile(0.99) != 0 {
+		t.Errorf("zero.Sub(b) = %+v, want empty", w)
+	}
+}
+
+func TestBucketUpper(t *testing.T) {
+	// Values below 32 are exact.
+	for v := uint64(0); v < 32; v++ {
+		if bucketOf(v) != int(v) || bucketUpper(int(v)) != v {
+			t.Errorf("bucketOf(%d) = %d, bucketUpper = %d; want exact", v, bucketOf(v), bucketUpper(int(v)))
+		}
+	}
+	// Every octave edge lands in adjacent buckets.
+	for k := 5; k < 64; k++ {
+		if lo, hi := bucketOf(1<<k-1), bucketOf(1<<k); hi != lo+1 {
+			t.Errorf("edge 2^%d: bucketOf(2^%d-1) = %d, bucketOf(2^%d) = %d", k, k, lo, k, hi)
+		}
+	}
+	if got := bucketOf(math.MaxUint64); got != histBuckets-1 {
+		t.Errorf("bucketOf(MaxUint64) = %d, want %d", got, histBuckets-1)
+	}
+	if got := bucketUpper(histBuckets - 1); got != math.MaxUint64 {
+		t.Errorf("bucketUpper(last) = %d, want MaxUint64", got)
+	}
+	// Each value lies in (upper of the bucket below, upper of its own],
+	// which is less than 1/16 above it.
+	vals := []uint64{32, 33, 34, 47, 48, 100, 1000, 12345, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	for k := 5; k < 64; k++ {
+		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 10_000; i++ {
+		vals = append(vals, rng.Uint64()>>rng.Intn(64))
+	}
+	for _, v := range vals {
+		i := bucketOf(v)
+		if up := bucketUpper(i); up < v || up-v > v/16 {
+			t.Errorf("bucketUpper(bucketOf(%d)) = %d, want in [v, v+v/16]", v, up)
+		}
+		if i > 0 && bucketUpper(i-1) >= v {
+			t.Errorf("bucketUpper(bucketOf(%d)-1) = %d, want < v", v, bucketUpper(i-1))
 		}
 	}
 }

@@ -13,8 +13,10 @@
 //     so concurrent increments from many goroutines do not fight over
 //     one line; Add is one padded atomic add.
 //   - Gauge is a single padded int64.
-//   - Hist is a lock-free fixed-bucket log2 histogram: Observe performs
-//     three atomic adds and a bounded max-CAS, no allocation, no lock.
+//   - Hist is a lock-free histogram with 16 linear sub-buckets per
+//     power of two (quantiles within 1/16 above exact): Observe
+//     performs three atomic adds and a bounded max-CAS, no allocation,
+//     no lock.
 //     Snapshots are plain value structs that merge and subtract, so a
 //     load generator can scrape twice and extract the quantiles of
 //     exactly its measured window.

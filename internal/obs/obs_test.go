@@ -125,6 +125,11 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(3) // bucket le=3
 	h.Observe(3)
 	h.Observe(100) // bucket le=127
+	// 64 and 100 sit in different sub-buckets of the octave [64, 128);
+	// the exposition folds them into the one log2 line le=127.
+	hs := r.Hist("growt_lat_nanos", "op", "set")
+	hs.Observe(64)
+	hs.Observe(100)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -144,10 +149,16 @@ func TestWritePrometheus(t *testing.T) {
 		`growt_lat_nanos_bucket{op="get",le="+Inf"} 3` + "\n",
 		`growt_lat_nanos_sum{op="get"} 106` + "\n",
 		`growt_lat_nanos_count{op="get"} 3` + "\n",
+		`growt_lat_nanos_bucket{op="set",le="63"} 0` + "\n",
+		`growt_lat_nanos_bucket{op="set",le="127"} 2` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
+	}
+	// Only log2 bounds: le 0, 1, 3, …, 127 and +Inf.
+	if n := strings.Count(out, `growt_lat_nanos_bucket{op="set",`); n != 9 {
+		t.Errorf("set series has %d bucket lines, want 9 (le=0..127 and +Inf)", n)
 	}
 	// One TYPE header per family, even with several series.
 	if n := strings.Count(out, "# TYPE growt_ops_total counter"); n != 1 {

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 )
 
@@ -60,19 +61,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // writePromHist emits one histogram series: cumulative buckets up to
 // the highest occupied one, the mandatory +Inf bucket, then sum and
-// count. le bounds are the raw log2 bucket upper bounds in the
-// metric's own unit (names carry units, e.g. _nanos).
+// count. The sub-buckets of each power of two are summed into one line,
+// so le bounds stay the log2 bounds 0 and 2^k − 1 in the metric's own
+// unit (names carry units, e.g. _nanos) and /metrics does not grow with
+// the histogram's resolution.
 func writePromHist(w io.Writer, family, labels string, h HistSnapshot) error {
+	var octaves [65]uint64
 	top := -1
 	for i, c := range h.Buckets {
 		if c > 0 {
-			top = i
+			k := bits.Len64(bucketUpper(i))
+			octaves[k] += c
+			top = k
 		}
 	}
 	var cum uint64
-	for i := 0; i <= top; i++ {
-		cum += h.Buckets[i]
-		le := strconv.FormatUint(bucketUpper(i), 10)
+	for k := 0; k <= top; k++ {
+		cum += octaves[k]
+		le := strconv.FormatUint(1<<k-1, 10) // wraps to MaxUint64 at k = 64
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", family, withLE(labels, le), cum); err != nil {
 			return err
 		}
