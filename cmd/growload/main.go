@@ -179,8 +179,8 @@ func main() {
 			}
 		}
 		last := slowOps[len(slowOps)-1]
-		fmt.Printf("server: %d slow ops logged, slowest %v; latest: %s gen=%d qdepth=%d\n",
-			len(slowOps), time.Duration(maxLat), last.Op, last.Generation, last.QueueDepth)
+		fmt.Printf("server: %d slow ops logged, slowest %v; latest: %s gen=%d\n",
+			len(slowOps), time.Duration(maxLat), last.Op, last.Generation)
 	}
 	if res.errors > 0 {
 		os.Exit(1)

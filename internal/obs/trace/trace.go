@@ -49,7 +49,7 @@ type Kind uint8
 // positional (A0..A2); the per-kind conventions are:
 //
 //	ExecEnd     A0=opcode|status<<8  A1=request id  A2=latency nanos (start = TS-A2)
-//	Enqueue     A0=first request id  A1=queue depth in batches  A2=frames in the batch
+//	Enqueue     A0=first request id  A1=bytes the batch-end flush writes  A2=frames in the batch
 //	MigArm      A0=src capacity  A1=dst capacity  A2=unused
 //	MigAdopt    A0=total blocks  A1=blocks done  A2=unused
 //	MigCopySlice A0=block index  A1=cells moved  A2=unused

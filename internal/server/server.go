@@ -43,28 +43,14 @@ func (o *Options) defaults() {
 	}
 }
 
-// Per-connection buffering. A batch is every request frame already
-// whole in the read buffer once the blocking read of its first frame
-// returns; its responses go into one buffer, closed once it reaches the
-// write buffer's size, and reach the writer in one channel send.
+// Per-connection buffering, fixed for the connection's life. A batch is
+// every request frame already whole in the read buffer once the
+// blocking read of its first frame returns; its responses go straight
+// into the write buffer, which flushes by itself when full, and the
+// batch's end flushes the rest.
 const (
 	readBuffer  = 64 << 10
 	writeBuffer = 64 << 10
-	batchBytes  = writeBuffer
-	// outQueue is the per-session response queue depth, in batches: a
-	// client that stops reading parks about 512 KiB of responses, and
-	// the reader parks behind them — the backpressure on a client that
-	// pipelines faster than its link drains.
-	outQueue = 8
-	// The writer hands spent batch buffers back on a free channel of
-	// spareBatches slots: while the reader fills one batch the writer
-	// returns the last, and a second slot keeps one more from a drained
-	// backlog. A buffer grown past spareCap goes to the collector, so an
-	// idle session keeps at most 2×128 KiB of spares. A new buffer
-	// starts at newBatchCap and grows as its batch needs.
-	spareBatches = 2
-	spareCap     = 2 * batchBytes
-	newBatchCap  = 4 << 10
 )
 
 // Stats is a snapshot of the server's counters. The hit/miss/expired/
@@ -99,7 +85,6 @@ type metrics struct {
 	connsActive   *obs.Gauge
 	ops           *obs.Counter
 	protocolErrs  *obs.Counter
-	queueDepth    *obs.Hist
 	opCount       [256]*obs.Counter
 	opLat         [256]*obs.Hist
 }
@@ -111,7 +96,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		connsActive:   reg.Gauge("growd_conns_active"),
 		ops:           reg.Counter("growd_ops_total"),
 		protocolErrs:  reg.Counter("growd_protocol_errs_total"),
-		queueDepth:    reg.Hist("growd_out_queue_depth"),
 	}
 	for op := 0; op < 256; op++ {
 		name := OpName(byte(op))
@@ -125,15 +109,15 @@ func newMetrics(reg *obs.Registry) metrics {
 }
 
 // Server serves the binary protocol over a Store. Each accepted
-// connection gets a session: the reader goroutine parses and executes
-// the pipeline in order against the shared cache (which pools its own
-// map handles — core handles register never-deregistered per-handle
-// state, so they are recycled there, one per open connection). The
-// reader runs every frame already whole in its read buffer as one
-// batch, appending the responses to one buffer it hands the writer in
-// one send; the writer goroutine copies batches into a buffered writer
-// and flushes only when the queue runs empty — so a deep pipeline pays
-// one wakeup per batch and one syscall per flush, not per response.
+// connection gets a session: one goroutine that parses and executes the
+// pipeline in order against the shared cache (which pools its own map
+// handles — core handles register never-deregistered per-handle state,
+// so they are recycled there, one per open connection) and writes the
+// responses. It runs every frame already whole in its read buffer as one
+// batch, appending each response straight into its buffered writer, and
+// flushes once the batch ends — so a deep pipeline pays one syscall per
+// flush, not per response, and a client that stops reading parks its
+// session in a write with no more than the write buffer pending.
 type Server struct {
 	st  *Store
 	opt Options
@@ -233,8 +217,10 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		s.m.connsAccepted.Add(1)
+		// Active before accepted: Stats reads accepted first, so a count
+		// that includes this connection comes with its session's gauge.
 		s.m.connsActive.Add(1)
+		s.m.connsAccepted.Add(1)
 		go s.session(conn)
 	}
 }
@@ -272,99 +258,54 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// session runs one connection's lifecycle. Teardown paths:
-//
-//   - client closes / read error → reader closes the queue, writer
-//     flushes what's pending and closes the conn;
-//   - write error → writer closes the conn and its done channel; the
-//     blocked reader's Read fails and the reader unwinds;
-//   - protocol error → reader sends the batch's responses built so far
-//     ending in a StatusErr response and closes the queue (terminal:
-//     framing cannot resync).
-//
-// Either way both goroutines exit and the connection is untracked — the
-// disconnect-mid-pipeline test drives every path.
+// session runs one connection's lifecycle on one goroutine: pipeline
+// serves it until the client closes, a protocol error or a write error,
+// then the conn is closed and untracked — the disconnect-mid-pipeline
+// test drives every path.
 func (s *Server) session(conn net.Conn) {
 	defer s.wg.Done()
-	out := make(chan []byte, outQueue)
-	free := make(chan []byte, spareBatches)
-	done := make(chan struct{})
-
-	go s.writeLoop(conn, out, free, done)
-	s.readLoop(conn, out, free, done)
-
-	<-done // writer owns conn.Close; wait so untracking is ordered after it
+	s.pipeline(conn)
+	conn.Close()
 	s.mu.Lock()
 	delete(s.conns, conn)
 	s.mu.Unlock()
 	s.m.connsActive.Add(-1)
 }
 
-// writeLoop drains out into a buffered writer, flushing only when the
-// queue is momentarily empty — the write-coalescing half of the
-// pipelining story. Each batch, once copied, goes back to the reader on
-// free (dropped when free is full or the batch grew past spareCap).
-// Closes conn and done on exit.
+// pipeline parses and executes the request pipeline in order, a batch
+// at a time, and writes the responses. A batch opens with a read that
+// may block and goes on only while the read buffer holds the next frame
+// whole (frameBuffered), so it never waits for bytes: an unpipelined
+// request is a batch of one. exec appends each response into the write
+// buffer's free space and bw.Write takes it from there in place; the
+// batch's end flushes. It returns:
 //
-//growt:hotpath
-func (s *Server) writeLoop(conn net.Conn, out <-chan []byte, free chan<- []byte, done chan<- struct{}) {
-	defer close(done)
-	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, writeBuffer)
-	for batch := range out {
-		for batch != nil {
-			if _, err := bw.Write(batch); err != nil {
-				return
-			}
-			if cap(batch) <= spareCap {
-				select {
-				case free <- batch[:0]:
-				default:
-				}
-			}
-			batch = nil
-			select {
-			case next, ok := <-out:
-				if !ok {
-					bw.Flush()
-					return
-				}
-				batch = next
-			default:
-			}
-		}
-		if bw.Flush() != nil {
-			return
-		}
-	}
-	bw.Flush()
-}
-
-// readLoop parses and executes the request pipeline in order, a batch
-// at a time. A batch opens with a read that may block and goes on only
-// while the read buffer holds the next frame whole (frameBuffered), so
-// it never waits for bytes: an unpipelined request is a batch of one.
-// It closes at batchBytes of responses. It owns the out channel and
-// always closes it on exit.
+//   - at EOF or a read error, with nothing pending (a batch ends before
+//     the read that could block);
+//   - at a protocol error, after flushing the batch's responses so far
+//     ending in a StatusErr response (terminal: framing cannot resync);
+//   - at a write error, at once.
 //
 // Each op is timed by chained stamps: one after the batch's blocking
-// read, one after every exec, so an op's latency is the gap to the
-// previous stamp — its own frame's decode and execution.
+// read, one after every exec (and one after a write that had to flush),
+// so an op's latency is the gap to the previous stamp — its own frame's
+// decode and execution.
 //
 // The cache session is per-connection: one pooled map handle is pinned
 // here for the connection's whole life, so the ops executed below never
 // touch the handle pool. The pool makes a handle for every connection
 // that is open at once; it has no cap for a connection to wait at.
-func (s *Server) readLoop(conn net.Conn, out chan<- []byte, free <-chan []byte, done <-chan struct{}) {
-	defer close(out)
+//
+//growt:hotpath
+func (s *Server) pipeline(conn net.Conn) {
 	cs := s.st.C.NewSession()
 	defer cs.Close()
 	br := bufio.NewReaderSize(conn, readBuffer)
+	bw := bufio.NewWriterSize(conn, writeBuffer)
 	var (
 		frameBuf []byte // ReadFrame scratch, reused across frames
-		batch    []byte // responses of the open batch; nil between batches
 		first    uint64 // request id that opened the batch
-		frames   uint64
+		frames   uint64 // responses in the open batch; 0 between batches
 		stamp    int64
 	)
 	for {
@@ -375,25 +316,16 @@ func (s *Server) readLoop(conn net.Conn, out chan<- []byte, free <-chan []byte, 
 				s.m.protocolErrs.Add(1)
 				// Terminal; id is unknowable here (the frame could not be
 				// parsed past its length), so echo 0.
-				batch = errFrame(batch, 0, err.Error())
-				frames++
-			}
-			if frames > 0 {
-				s.trySend(out, done, batch, first, frames)
+				bw.Write(errFrame(bw.AvailableBuffer(), 0, err.Error()))
+				s.flush(bw, first, frames+1)
 			}
 			return // EOF, connection reset, or terminal protocol error
 		}
 		if frames == 0 {
-			select {
-			case batch = <-free:
-			default:
-				batch = make([]byte, 0, newBatchCap)
-			}
 			first, stamp = id, trace.Now()
 		}
-		start := len(batch)
-		var fatal bool
-		batch, fatal = s.exec(cs, batch, id, kind, reqBody)
+		room := bw.AvailableBuffer()
+		resp, fatal := s.exec(cs, room, id, kind, reqBody)
 		frames++
 		end := trace.Now()
 		lat := uint64(end - stamp)
@@ -403,27 +335,35 @@ func (s *Server) readLoop(conn net.Conn, out chan<- []byte, free <-chan []byte, 
 		}
 		// The status byte sits after the length and id words; every
 		// frame exec appends carries one.
-		status := batch[start+4+frameHeader-1]
+		status := resp[4+frameHeader-1]
 		trace.EmitAt(end, trace.KindExecEnd, uint64(kind)|uint64(status)<<8, id, lat)
 		if thr := s.opt.SlowOpThreshold; thr > 0 && lat >= uint64(thr) {
 			var kh uint64
 			if key := keyOfRequest(kind, reqBody); len(key) > 0 {
 				kh = maphash.Bytes(storeSeed, key)
 			}
-			s.slow.insert(end, kind, id, kh, uint64(len(out)), s.st.C.Generation(), lat)
+			s.slow.insert(end, kind, id, kh, s.st.C.Generation(), lat)
+		}
+		if _, err := bw.Write(resp); err != nil {
+			return
+		}
+		if len(resp) > cap(room) {
+			// The response outgrew the buffer's room, so the write flushed:
+			// the next op's time starts after it.
+			stamp = trace.Now()
 		}
 		if fatal {
 			s.m.protocolErrs.Add(1)
-			s.trySend(out, done, batch, first, frames)
+			s.flush(bw, first, frames)
 			return
 		}
-		if len(batch) < batchBytes && frameBuffered(br) {
+		if frameBuffered(br) {
 			continue
 		}
-		if !s.trySend(out, done, batch, first, frames) {
+		if s.flush(bw, first, frames) != nil {
 			return
 		}
-		batch, first, frames = nil, 0, 0
+		first, frames = 0, 0
 	}
 }
 
@@ -438,21 +378,13 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(lenb))
 }
 
-// trySend enqueues a batch — frames responses, the first of them
-// answering request id first — unless the writer already died. The queue occupancy
-// sampled at every enqueue is the coalescing-depth distribution, in
-// batches: a writer keeping up samples near zero, a saturated link
-// samples near outQueue.
-func (s *Server) trySend(out chan<- []byte, done <-chan struct{}, batch []byte, first, frames uint64) bool {
-	depth := uint64(len(out))
-	s.m.queueDepth.Observe(depth)
-	trace.Emit(trace.KindEnqueue, first, depth, frames)
-	select {
-	case out <- batch:
-		return true
-	case <-done:
-		return false
-	}
+// flush ends a batch of frames responses, the first of them answering
+// request id first, and records it as one enqueue event carrying the
+// bytes it flushes (what the write buffer has not already flushed by
+// itself).
+func (s *Server) flush(bw *bufio.Writer, first, frames uint64) error {
+	trace.Emit(trace.KindEnqueue, first, uint64(bw.Buffered()), frames)
+	return bw.Flush()
 }
 
 // errFrame builds a StatusErr response carrying msg. Response bodies
@@ -465,15 +397,16 @@ func errFrame(dst []byte, id uint64, msg string) []byte {
 }
 
 // exec executes one decoded request against the connection's cache
-// session and appends the encoded response frame to dst, the open
-// batch; bytes before len(dst) are never touched, error paths included
-// (they rewind to dst[:start] before answering). fatal marks
+// session and appends the encoded response frame to dst (in pipeline,
+// the write buffer's free space); bytes before len(dst) are never
+// touched, error paths included (they rewind to dst[:start] before
+// answering). fatal marks
 // protocol-level failures (unknown opcode, body that does not parse)
 // after which the connection must close; operation failures (absent
 // key, CAS mismatch, non-counter INCR target) are ordinary statuses and
 // keep the session alive.
 //
-// c is the per-connection session created by readLoop: every cache op
+// c is the per-connection session created by pipeline: every cache op
 // below reuses its pinned map handle, so the hot path performs zero
 // handle-pool acquires per request.
 //

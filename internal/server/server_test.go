@@ -334,7 +334,12 @@ func TestClientDisconnectMidPipeline(t *testing.T) {
 		c.Close() // without ever reading a response
 	}
 
-	waitFor(t, "churned sessions to unwind", func() bool { return srv.Stats().ConnsActive == 1 })
+	// Accepted first: a connection the server has not accepted yet is not
+	// active either.
+	waitFor(t, "churned sessions to unwind", func() bool {
+		st := srv.Stats()
+		return st.ConnsAccepted == 11 && st.ConnsActive == 1
+	})
 	if v, ok, err := cl.Get([]byte("stable")); err != nil || !ok || string(v) != "value" {
 		t.Fatalf("bystander disturbed: %q, %v, %v", v, ok, err)
 	}
@@ -553,6 +558,65 @@ func TestManyConnections(t *testing.T) {
 		if err != nil || id != uint64(i+1) || status != server.StatusOK {
 			t.Fatalf("connection %d of %d, all open: PING answered id=%d status=%d err=%v", i+1, n, id, status, err)
 		}
+	}
+}
+
+// TestSessionHeapPerConnection pins what a client that never reads
+// costs the server. Its session stops in a blocked write holding the
+// same fixed buffers an idle session holds, so the per-connection heap
+// of sixteen such clients, each pipelining about 4 MiB of GETs for a
+// 1 KiB value, stays within 192 KiB of that of sixteen idle ones.
+func TestSessionHeapPerConnection(t *testing.T) {
+	srv, addr := startServer(t, server.Options{})
+	const n = 16
+	setup := dialRaw(t, addr)
+	setup.send(frame(1, server.OpSet, []byte("k"), make([]byte, 1<<10)))
+	if _, status, _, err := setup.read(); err != nil || status != server.StatusOK {
+		t.Fatalf("set: status=%#x err=%v", status, err)
+	}
+	// One burst serves every client; it is live before the first
+	// measurement.
+	get := frame(2, server.OpGet, []byte("k"))
+	burst := make([]byte, 0, 4<<20)
+	for len(burst)+len(get) <= cap(burst) {
+		burst = append(burst, get...)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	for i := 0; i < n; i++ {
+		dialRaw(t, addr)
+	}
+	waitFor(t, "idle sessions", func() bool { return srv.Stats().ConnsActive == 1+n })
+	idle := heap()
+
+	for i := 0; i < n; i++ {
+		rc := dialRaw(t, addr)
+		go rc.c.Write(burst) // returns when the cleanup closes the conn
+	}
+	waitFor(t, "never-reading sessions", func() bool { return srv.Stats().ConnsActive == 1+2*n })
+	// Every never-reading session is parked in a write once the op count
+	// stops moving.
+	last := srv.Stats().Ops
+	waitFor(t, "never-reading sessions to block", func() bool {
+		time.Sleep(100 * time.Millisecond)
+		ops := srv.Stats().Ops
+		stable := ops == last
+		last = ops
+		return stable
+	})
+	stuck := heap()
+
+	perIdle := (idle - base) / n
+	perStuck := (stuck - idle) / n
+	t.Logf("heap per connection: idle %d KiB, never reading %d KiB (%d ops served)", perIdle>>10, perStuck>>10, last)
+	if perStuck > perIdle+192<<10 {
+		t.Fatalf("a never-reading connection holds %d KiB of heap, an idle one %d KiB: want at most 192 KiB more",
+			perStuck>>10, perIdle>>10)
 	}
 }
 

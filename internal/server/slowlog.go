@@ -13,9 +13,8 @@ import (
 // recorder answers "what was the system doing", the slow-op log
 // answers "which requests paid for it": each entry carries the opcode,
 // a hash of the key (the key itself may be megabytes; the hash is
-// enough to correlate repeats and probe-cluster neighbors), the
-// response-queue depth at completion, and the table generation the op
-// ran against — so a stalled SET can be matched to the exact migration
+// enough to correlate repeats and probe-cluster neighbors) and the
+// table generation the op ran against — so a stalled SET can be matched to the exact migration
 // (flip events carry the new generation) that stalled it.
 //
 // The ring uses the same per-slot seqlock as internal/obs/trace: a
@@ -42,7 +41,6 @@ type SlowEntry struct {
 	Op           string `json:"op"`
 	ID           uint64 `json:"id"`
 	KeyHash      uint64 `json:"key_hash"`
-	QueueDepth   uint64 `json:"queue_depth"`
 	Generation   uint64 `json:"generation"`
 	LatencyNanos uint64 `json:"latency_nanos"`
 }
@@ -56,7 +54,6 @@ type slowSlot struct {
 	op      atomic.Uint64
 	id      atomic.Uint64
 	keyHash atomic.Uint64
-	depth   atomic.Uint64
 	gen     atomic.Uint64
 	lat     atomic.Uint64
 }
@@ -67,10 +64,10 @@ type slowLog struct {
 }
 
 // insert records one slow op. Allocation-free and wait-free: a
-// fetch-and-add plus eight atomic stores.
+// fetch-and-add plus seven atomic stores.
 //
 //growt:hotpath
-func (l *slowLog) insert(ts int64, op byte, id, keyHash, depth, gen, lat uint64) {
+func (l *slowLog) insert(ts int64, op byte, id, keyHash, gen, lat uint64) {
 	ticket := l.cursor.Add(1) - 1
 	s := &l.slots[ticket&(slowLogSlots-1)]
 	s.seq.Store(2*ticket + 1)
@@ -78,7 +75,6 @@ func (l *slowLog) insert(ts int64, op byte, id, keyHash, depth, gen, lat uint64)
 	s.op.Store(uint64(op))
 	s.id.Store(id)
 	s.keyHash.Store(keyHash)
-	s.depth.Store(depth)
 	s.gen.Store(gen)
 	s.lat.Store(lat)
 	s.seq.Store(2*ticket + 2)
@@ -100,7 +96,6 @@ func (l *slowLog) snapshot() []SlowEntry {
 			Op:           OpName(byte(s.op.Load())),
 			ID:           s.id.Load(),
 			KeyHash:      s.keyHash.Load(),
-			QueueDepth:   s.depth.Load(),
 			Generation:   s.gen.Load(),
 			LatencyNanos: s.lat.Load(),
 		}

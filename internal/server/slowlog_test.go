@@ -11,7 +11,7 @@ import (
 func TestSlowLogInsertAllocs(t *testing.T) {
 	var l slowLog
 	if n := testing.AllocsPerRun(1000, func() {
-		l.insert(123456789, OpSet, 42, 0xfeed, 3, 2, 1_500_000)
+		l.insert(123456789, OpSet, 42, 0xfeed, 2, 1_500_000)
 	}); n != 0 {
 		t.Fatalf("slowlog insert allocates %v per run, want 0", n)
 	}
@@ -24,7 +24,7 @@ func TestSlowLogWraparound(t *testing.T) {
 	var l slowLog
 	const total = slowLogSlots*2 + 40
 	for i := 0; i < total; i++ {
-		l.insert(int64(i), OpGet, uint64(i), 0, 0, 0, 1)
+		l.insert(int64(i), OpGet, uint64(i), 0, 0, 1)
 	}
 	es := l.snapshot()
 	if len(es) != slowLogSlots {
