@@ -575,7 +575,7 @@ func (o *ops[K, V]) evictOne(now int64) bool {
 	// a gamma-stride seed would make call n+1's probe sequence call n's
 	// shifted by one, so every eviction re-probes the same slots. Unit
 	// strides land on disjoint splitmix inputs and decorrelate fully.
-	r := rng.NewSplitMix64(c.seed.Add(1))
+	r := rng.MakeSplitMix64(c.seed.Add(1))
 	var best *keyed[K, V]
 	var bestSlot *atomic.Pointer[keyed[K, V]]
 	var bestAt int64

@@ -102,7 +102,7 @@ func TestFloat64Range(t *testing.T) {
 func TestSplitMixKnownValues(t *testing.T) {
 	// Reference values from the splitmix64 reference implementation
 	// (Vigna), seed 0: first three outputs.
-	s := NewSplitMix64(0)
+	s, v := NewSplitMix64(0), MakeSplitMix64(0)
 	want := []uint64{
 		0xE220A8397B1DCDAF,
 		0x6E789E6AA1B965F4,
@@ -111,6 +111,9 @@ func TestSplitMixKnownValues(t *testing.T) {
 	for i, w := range want {
 		if g := s.Uint64(); g != w {
 			t.Fatalf("splitmix output %d: got %#x want %#x", i, g, w)
+		}
+		if g := v.Uint64(); g != w {
+			t.Fatalf("MakeSplitMix64 output %d: got %#x want %#x", i, g, w)
 		}
 	}
 }

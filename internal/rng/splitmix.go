@@ -13,6 +13,11 @@ type SplitMix64 struct {
 // NewSplitMix64 returns a generator with the given starting state.
 func NewSplitMix64(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }
 
+// MakeSplitMix64 returns a generator with the given starting state as a
+// value, for a caller that keeps it on its stack: where a call to
+// NewSplitMix64 is not inlined, its result is heap-allocated.
+func MakeSplitMix64(seed uint64) SplitMix64 { return SplitMix64{state: seed} }
+
 // Uint64 returns the next value.
 func (s *SplitMix64) Uint64() uint64 {
 	s.state += 0x9E3779B97F4A7C15

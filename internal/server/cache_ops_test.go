@@ -394,3 +394,33 @@ func TestEvictionOverWire(t *testing.T) {
 		t.Fatalf("no evictions recorded: %+v", st)
 	}
 }
+
+// TestEvictingSetAllocs pins what an over-budget Set allocates on the
+// served cache, instantiated over the server's Key as growd builds it:
+// the item and the map's entry. The eviction it triggers allocates
+// nothing; a SplitMix64 taken by pointer there, not inlined into this
+// instantiation, heap-allocated 16 B per eviction and read 3.
+func TestEvictingSetAllocs(t *testing.T) {
+	const budget = 1024
+	st := server.NewStore(growt.WithMaxEntries(budget))
+	defer st.Close()
+	keys := make([]server.Key, 4*budget)
+	for i := range keys {
+		keys[i] = server.Key(fmt.Sprintf("k%05d", i))
+	}
+	next := 0
+	for ; next < 2*budget; next++ {
+		st.C.Set(keys[next], "v")
+	}
+	allocs := testing.AllocsPerRun(budget, func() {
+		evicted := st.C.Stats().Evicted
+		st.C.Set(keys[next], "v")
+		next++
+		if st.C.Stats().Evicted != evicted+1 {
+			t.Fatal("over-budget Set did not evict exactly one entry")
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("%v allocs per evicting Set, want at most 2", allocs)
+	}
+}

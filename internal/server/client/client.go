@@ -1,14 +1,23 @@
 // Package client is the pipelined Go client for the growd protocol
 // (internal/server, docs/PROTOCOL.md). A Client owns a pool of
-// connections; every connection keeps a pending-request table keyed by
-// request id, a writer goroutine that coalesces queued request frames
-// into batched flushes, and a reader goroutine that dispatches
-// responses to their callbacks. Any number of goroutines may share one
-// Client: concurrent calls pipeline naturally onto the pooled
-// connections instead of waiting for each other's round trips.
+// connections. Any number of goroutines may share one Client:
+// concurrent calls pipeline onto the pooled connections instead of
+// waiting for each other's round trips.
+//
+// A connection is one mutex over a write buffer and a FIFO of waiting
+// callbacks, plus two goroutines. A request takes the next id, joins
+// the FIFO and is framed straight into the write buffer, all under the
+// mutex, so it allocates nothing. The writer goroutine, kicked when
+// the buffer fills from empty, swaps it for its spare and writes the
+// whole batch at once. The reader goroutine reads responses through a
+// 64 KiB buffer and hands each to the FIFO's head: growd answers in
+// request order, so a response for any other id ends the connection.
+// Neither the buffer nor the FIFO has a cap: what bounds them is how
+// many requests the callers keep in flight.
 package client
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -40,7 +49,6 @@ type config struct {
 	conns    int
 	maxFrame uint32
 	dialWait time.Duration
-	outQueue int
 }
 
 // Option configures Dial.
@@ -68,7 +76,7 @@ type Client struct {
 
 // Dial connects the pool.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	cfg := config{conns: 1, maxFrame: server.DefaultMaxFrame, outQueue: 256}
+	cfg := config{conns: 1, maxFrame: server.DefaultMaxFrame}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -122,16 +130,12 @@ func (cl *Client) conn() *conn {
 
 // Ping round-trips a liveness probe.
 func (cl *Client) Ping() error {
-	r := cl.conn().roundTrip(server.OpPing, nil)
-	if r.Err != nil {
-		return r.Err
-	}
-	return expectOK("PING", r)
+	return expectOK("PING", cl.conn().roundTrip(server.OpPing, req{}))
 }
 
 // Get fetches the value at key; ok is false when absent (or expired).
 func (cl *Client) Get(key []byte) (val []byte, ok bool, err error) {
-	r := cl.conn().roundTrip(server.OpGet, bodyOf([][]byte{key}, 0, false))
+	r := cl.conn().roundTrip(server.OpGet, req{fields: [][]byte{key}})
 	switch {
 	case r.Err != nil:
 		return nil, false, r.Err
@@ -145,28 +149,20 @@ func (cl *Client) Get(key []byte) (val []byte, ok bool, err error) {
 
 // Set unconditionally stores ⟨key, val⟩ under the server's default TTL.
 func (cl *Client) Set(key, val []byte) error {
-	r := cl.conn().roundTrip(server.OpSet, bodyOf([][]byte{key, val}, 0, false))
-	if r.Err != nil {
-		return r.Err
-	}
-	return expectOK("SET", r)
+	return expectOK("SET", cl.conn().roundTrip(server.OpSet, req{fields: [][]byte{key, val}}))
 }
 
 // SetEx stores ⟨key, val⟩ with an explicit per-entry TTL (millisecond
 // wire resolution, sub-ms values round up; ttl <= 0 stores an immortal
 // entry).
 func (cl *Client) SetEx(key, val []byte, ttl time.Duration) error {
-	r := cl.conn().roundTrip(server.OpSetEx, bodyOf([][]byte{key, val}, ttlToMillis(ttl), true))
-	if r.Err != nil {
-		return r.Err
-	}
-	return expectOK("SETEX", r)
+	return expectOK("SETEX", cl.conn().roundTrip(server.OpSetEx, req{fields: [][]byte{key, val}, n: ttlToMillis(ttl), hasN: true}))
 }
 
 // Expire re-deadlines the live entry at key to now+ttl; ok is false
 // when the key is absent or already expired.
 func (cl *Client) Expire(key []byte, ttl time.Duration) (ok bool, err error) {
-	r := cl.conn().roundTrip(server.OpExpire, bodyOf([][]byte{key}, ttlToMillis(ttl), true))
+	r := cl.conn().roundTrip(server.OpExpire, req{fields: [][]byte{key}, n: ttlToMillis(ttl), hasN: true})
 	switch {
 	case r.Err != nil:
 		return false, r.Err
@@ -182,7 +178,7 @@ func (cl *Client) Expire(key []byte, ttl time.Duration) (ok bool, err error) {
 // ok is false when the key is absent or expired; a live entry with no
 // deadline reports ttl < 0.
 func (cl *Client) TTL(key []byte) (ttl time.Duration, ok bool, err error) {
-	r := cl.conn().roundTrip(server.OpTTL, bodyOf([][]byte{key}, 0, false))
+	r := cl.conn().roundTrip(server.OpTTL, req{fields: [][]byte{key}})
 	switch {
 	case r.Err != nil:
 		return 0, false, r.Err
@@ -199,7 +195,7 @@ func (cl *Client) TTL(key []byte) (ttl time.Duration, ok bool, err error) {
 
 // Del removes key; ok reports whether a live entry was present.
 func (cl *Client) Del(key []byte) (ok bool, err error) {
-	r := cl.conn().roundTrip(server.OpDel, bodyOf([][]byte{key}, 0, false))
+	r := cl.conn().roundTrip(server.OpDel, req{fields: [][]byte{key}})
 	switch {
 	case r.Err != nil:
 		return false, r.Err
@@ -215,7 +211,7 @@ func (cl *Client) Del(key []byte) (ok bool, err error) {
 // old. swapped reports success; found distinguishes a mismatch
 // (found=true) from an absent key (found=false).
 func (cl *Client) CAS(key, old, new []byte) (swapped, found bool, err error) {
-	r := cl.conn().roundTrip(server.OpCAS, bodyOf([][]byte{key, old, new}, 0, false))
+	r := cl.conn().roundTrip(server.OpCAS, req{fields: [][]byte{key, old, new}})
 	switch {
 	case r.Err != nil:
 		return false, false, r.Err
@@ -232,7 +228,7 @@ func (cl *Client) CAS(key, old, new []byte) (swapped, found bool, err error) {
 // Incr adds delta to the 8-byte big-endian counter at key (absent keys
 // start at 0) and returns the new value.
 func (cl *Client) Incr(key []byte, delta uint64) (uint64, error) {
-	r := cl.conn().roundTrip(server.OpIncr, bodyOf([][]byte{key}, delta, true))
+	r := cl.conn().roundTrip(server.OpIncr, req{fields: [][]byte{key}, n: delta, hasN: true})
 	switch {
 	case r.Err != nil:
 		return 0, r.Err
@@ -244,7 +240,7 @@ func (cl *Client) Incr(key []byte, delta uint64) (uint64, error) {
 
 // Size returns the server's approximate element count.
 func (cl *Client) Size() (uint64, error) {
-	r := cl.conn().roundTrip(server.OpSize, nil)
+	r := cl.conn().roundTrip(server.OpSize, req{})
 	switch {
 	case r.Err != nil:
 		return 0, r.Err
@@ -259,11 +255,7 @@ func (cl *Client) Size() (uint64, error) {
 // is an ordinary reply, not an error. A present-but-empty value comes
 // back as a non-nil empty slice.
 func (cl *Client) MGet(keys ...[]byte) (vals [][]byte, err error) {
-	b := server.AppendUint32(nil, uint32(len(keys)))
-	for _, k := range keys {
-		b = server.AppendBytes(b, k)
-	}
-	r := cl.conn().roundTrip(server.OpMGet, b)
+	r := cl.conn().roundTrip(server.OpMGet, req{raw: server.AppendUint32(nil, uint32(len(keys))), fields: keys})
 	switch {
 	case r.Err != nil:
 		return nil, r.Err
@@ -310,7 +302,7 @@ func parseMGet(b []byte, n int) ([][]byte, error) {
 // the data protocol means a load generator measures the same path it
 // loads — no side-channel HTTP listener required.
 func (cl *Client) Stats() (obs.Snapshot, error) {
-	r := cl.conn().roundTrip(server.OpStats, nil)
+	r := cl.conn().roundTrip(server.OpStats, req{})
 	switch {
 	case r.Err != nil:
 		return obs.Snapshot{}, r.Err
@@ -330,7 +322,7 @@ func (cl *Client) Stats() (obs.Snapshot, error) {
 // over the data connection — a load generator can pull the slow ops of
 // exactly its measured window without a side channel.
 func (cl *Client) SlowLog() ([]server.SlowEntry, error) {
-	r := cl.conn().roundTrip(server.OpSlowLog, nil)
+	r := cl.conn().roundTrip(server.OpSlowLog, req{})
 	switch {
 	case r.Err != nil:
 		return nil, r.Err
@@ -352,11 +344,7 @@ func (cl *Client) MSet(pairs ...[2][]byte) error {
 		b = server.AppendBytes(b, kv[0])
 		b = server.AppendBytes(b, kv[1])
 	}
-	r := cl.conn().roundTrip(server.OpMSet, b)
-	if r.Err != nil {
-		return r.Err
-	}
-	return expectOK("MSET", r)
+	return expectOK("MSET", cl.conn().roundTrip(server.OpMSet, req{raw: b}))
 }
 
 // ttlToMillis converts a duration into the wire's millisecond TTL
@@ -378,26 +366,30 @@ func ttlToMillis(ttl time.Duration) uint64 {
 
 // GetAsync pipelines a GET.
 func (cl *Client) GetAsync(key []byte, cb func(Resp)) {
-	cl.conn().send(server.OpGet, bodyOf([][]byte{key}, 0, false), cb)
+	cl.conn().send(server.OpGet, req{fields: [][]byte{key}}, cb)
 }
 
 // SetAsync pipelines a SET.
 func (cl *Client) SetAsync(key, val []byte, cb func(Resp)) {
-	cl.conn().send(server.OpSet, bodyOf([][]byte{key, val}, 0, false), cb)
+	cl.conn().send(server.OpSet, req{fields: [][]byte{key, val}}, cb)
 }
 
 // SetExAsync pipelines a SETEX (the open-loop expiring workload's write).
 func (cl *Client) SetExAsync(key, val []byte, ttl time.Duration, cb func(Resp)) {
-	cl.conn().send(server.OpSetEx, bodyOf([][]byte{key, val}, ttlToMillis(ttl), true), cb)
+	cl.conn().send(server.OpSetEx, req{fields: [][]byte{key, val}, n: ttlToMillis(ttl), hasN: true}, cb)
 }
 
 // IncrAsync pipelines an INCR.
 func (cl *Client) IncrAsync(key []byte, delta uint64, cb func(Resp)) {
-	cl.conn().send(server.OpIncr, bodyOf([][]byte{key}, delta, true), cb)
+	cl.conn().send(server.OpIncr, req{fields: [][]byte{key}, n: delta, hasN: true}, cb)
 }
 
+// expectOK turns a response whose only answer is OK into an error.
 func expectOK(op string, r Resp) error {
-	if r.Status == server.StatusOK {
+	switch {
+	case r.Err != nil:
+		return r.Err
+	case r.Status == server.StatusOK:
 		return nil
 	}
 	return statusErr(op, r)
@@ -415,14 +407,15 @@ func statusErr(op string, r Resp) error {
 
 type conn struct {
 	c        net.Conn
-	out      chan []byte   // encoded request frames for the writer
+	kick     chan struct{} // one slot: wakes the writer when wbuf fills from empty
 	done     chan struct{} // closed when the connection is torn down
 	maxFrame uint32
 
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]func(Resp)
-	sticky  error // first failure; set before done closes
+	mu     sync.Mutex
+	nextID uint64
+	wbuf   []byte // request frames the writer has not taken yet
+	q      fifo   // callbacks of requests sent and not yet answered
+	sticky error  // first failure; set before done closes
 
 	closeOnce sync.Once
 }
@@ -430,10 +423,10 @@ type conn struct {
 func newConn(nc net.Conn, cfg *config) *conn {
 	c := &conn{
 		c:        nc,
-		out:      make(chan []byte, cfg.outQueue),
+		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		maxFrame: cfg.maxFrame,
-		pending:  make(map[uint64]func(Resp)),
+		wbuf:     make([]byte, 0, 64<<10),
 	}
 	go c.writeLoop()
 	go c.readLoop()
@@ -445,93 +438,90 @@ func (c *conn) close(cause error) {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
 		c.sticky = cause
-		pend := c.pending
-		c.pending = nil
+		q := c.q
+		c.q = fifo{}
 		c.mu.Unlock()
 		close(c.done)
 		c.c.Close()
-		for _, cb := range pend {
-			cb(Resp{Err: cause})
+		for i := 0; i < q.n; i++ {
+			q.ring[(q.head+i)&(len(q.ring)-1)].cb(Resp{Err: cause})
 		}
 	})
 }
 
-// send pipelines one request whose body was pre-encoded with the wire
-// helpers (AppendBytes/AppendUint64/AppendUint32); cb always fires
-// exactly once. Nil byte-string fields encode as zero-length fields,
-// never as missing ones, so callers passing nil keys or values produce
-// well-formed frames.
+// req is a request body as send frames it: raw as it is, then each
+// field as a length-prefixed byte string (a nil field is a zero-length
+// one, never a missing one), then n as a u64 when hasN is set.
+type req struct {
+	raw    []byte
+	fields [][]byte
+	n      uint64
+	hasN   bool
+}
+
+// send pipelines one request; cb always fires exactly once. Under the
+// mutex it takes the next id, queues cb behind every earlier request
+// and frames the request straight into the write buffer, so the wire
+// and the queue hold requests in the same order; if the buffer was
+// empty it kicks the writer.
 //
 //growt:wire encode opcode
-func (c *conn) send(kind byte, reqBody []byte, cb func(Resp)) {
+func (c *conn) send(kind byte, r req, cb func(Resp)) {
 	c.mu.Lock()
-	if c.pending == nil {
-		err := c.sticky
+	if err := c.sticky; err != nil {
 		c.mu.Unlock()
 		cb(Resp{Err: fmt.Errorf("%w: %w", ErrClosed, err)})
 		return
 	}
 	c.nextID++
-	id := c.nextID
-	c.pending[id] = cb
-	c.mu.Unlock()
-
-	frame := server.BeginFrame(nil, id, kind)
-	frame = append(frame, reqBody...)
-	frame = server.EndFrame(frame, 0)
-
-	select {
-	case c.out <- frame:
-	case <-c.done:
-		c.fail(id) // the reader's teardown may already have fired it
-	}
-}
-
-// bodyOf encodes the common request-body shape: any number of
-// length-prefixed byte-string fields, optionally followed by one u64.
-func bodyOf(fields [][]byte, n uint64, hasN bool) []byte {
-	var b []byte
-	for _, f := range fields {
+	c.q.push(waiting{c.nextID, cb})
+	start := len(c.wbuf)
+	b := append(server.BeginFrame(c.wbuf, c.nextID, kind), r.raw...)
+	for _, f := range r.fields {
 		b = server.AppendBytes(b, f)
 	}
-	if hasN {
-		b = server.AppendUint64(b, n)
+	if r.hasN {
+		b = server.AppendUint64(b, r.n)
 	}
-	return b
-}
-
-// fail fires the pending callback for id with the sticky error, if the
-// teardown has not already consumed it.
-func (c *conn) fail(id uint64) {
-	c.mu.Lock()
-	var cb func(Resp)
-	if c.pending != nil {
-		cb = c.pending[id]
-		delete(c.pending, id)
-	}
-	err := c.sticky
+	c.wbuf = server.EndFrame(b, start)
 	c.mu.Unlock()
-	if cb != nil {
-		if err == nil {
-			err = ErrClosed
+	if start == 0 {
+		select {
+		case c.kick <- struct{}{}:
+		default: // a kick is already pending
 		}
-		cb(Resp{Err: err})
 	}
 }
 
-// roundTrip is send + wait. Val is copied inside the callback — the
-// reader's buffer is only stable for the callback's duration.
-//
-//growt:wire encode opcode
-func (c *conn) roundTrip(kind byte, reqBody []byte) Resp {
-	ch := make(chan Resp, 1)
-	c.send(kind, reqBody, func(r Resp) {
+// waiter is a synchronous call's rendezvous, pooled: its callback
+// fires exactly once per call, so it is free again after the receive.
+type waiter struct {
+	ch chan Resp
+	cb func(Resp)
+}
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan Resp, 1)}
+	// Val is copied here: the reader's buffer is only stable for the
+	// callback's duration.
+	w.cb = func(r Resp) {
 		if len(r.Val) > 0 {
 			r.Val = append([]byte(nil), r.Val...)
 		}
-		ch <- r
-	})
-	return <-ch
+		w.ch <- r
+	}
+	return w
+}}
+
+// roundTrip is send + wait.
+//
+//growt:wire encode opcode
+func (c *conn) roundTrip(kind byte, r req) Resp {
+	w := waiters.Get().(*waiter)
+	c.send(kind, r, w.cb)
+	resp := <-w.ch
+	waiters.Put(w)
+	return resp
 }
 
 // failWrite tears the connection down after a write error. Kept out of
@@ -540,56 +530,52 @@ func (c *conn) failWrite(err error) {
 	c.close(fmt.Errorf("%w: write: %w", ErrClosed, err))
 }
 
-// writeLoop batches queued frames into one buffered write + flush per
-// burst — the client half of the pipeline's syscall amortization.
+// writeLoop takes the whole write buffer at each kick, leaving its
+// spare in its place, and writes it with one Write: every frame
+// appended while the last Write ran goes out in the next one. The
+// writer runs once a kick wakes it, which is mostly after the issuing
+// goroutine has queued what it had, so a burst of requests costs one
+// write(2), not one each.
 //
 //growt:hotpath
 func (c *conn) writeLoop() {
-	buf := make([]byte, 0, 64<<10)
+	spare := make([]byte, 0, 64<<10)
 	for {
-		var frame []byte
 		select {
-		case frame = <-c.out:
+		case <-c.kick:
 		case <-c.done:
 			return
 		}
-		buf = append(buf[:0], frame...)
-		for coalescing := true; coalescing; {
-			select {
-			case next := <-c.out:
-				buf = append(buf, next...)
-				if len(buf) >= 256<<10 {
-					coalescing = false
-				}
-			case <-c.done:
+		c.mu.Lock()
+		buf := c.wbuf
+		c.wbuf = spare
+		c.mu.Unlock()
+		if len(buf) > 0 {
+			if _, err := c.c.Write(buf); err != nil {
+				c.failWrite(err)
 				return
-			default:
-				coalescing = false
 			}
 		}
-		if _, err := c.c.Write(buf); err != nil {
-			c.failWrite(err)
-			return
-		}
+		spare = buf[:0]
 	}
 }
 
-// readLoop decodes responses and dispatches callbacks by request id.
+// readLoop decodes responses through a 64 KiB buffer, so one read(2)
+// serves a whole batch, and hands each to the oldest waiting callback:
+// growd answers in request order, so a response whose id is not the
+// oldest request's tears the connection down.
 func (c *conn) readLoop() {
+	br := bufio.NewReaderSize(c.c, 64<<10)
 	var buf []byte
 	for {
-		id, status, respBody, nbuf, err := server.ReadFrame(c.c, c.maxFrame, buf)
+		id, status, respBody, nbuf, err := server.ReadFrame(br, c.maxFrame, buf)
 		buf = nbuf
 		if err != nil {
 			c.close(fmt.Errorf("%w: read: %w", ErrClosed, err))
 			return
 		}
 		c.mu.Lock()
-		var cb func(Resp)
-		if c.pending != nil {
-			cb = c.pending[id]
-			delete(c.pending, id)
-		}
+		cb := c.q.popID(id)
 		c.mu.Unlock()
 		if cb == nil {
 			// id 0 is the server's terminal protocol-error response (it
@@ -603,6 +589,41 @@ func (c *conn) readLoop() {
 		}
 		cb(decode(status, respBody))
 	}
+}
+
+// waiting is one request sent and not yet answered.
+type waiting struct {
+	id uint64
+	cb func(Resp)
+}
+
+// fifo is a growable ring of waiting requests, oldest first.
+type fifo struct {
+	ring    []waiting // len is 0 or a power of two
+	head, n int
+}
+
+func (q *fifo) push(w waiting) {
+	if q.n == len(q.ring) {
+		grown := make([]waiting, max(16, 2*len(q.ring)))
+		copy(grown[copy(grown, q.ring[q.head:]):], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = w
+	q.n++
+}
+
+// popID pops the oldest request if id is its id, and returns its
+// callback; nil if the queue is empty or the oldest has another id.
+func (q *fifo) popID(id uint64) func(Resp) {
+	if q.n == 0 || q.ring[q.head].id != id {
+		return nil
+	}
+	cb := q.ring[q.head].cb
+	q.ring[q.head] = waiting{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return cb
 }
 
 // decode splits a response body per status: OK bodies carry the value

@@ -1,11 +1,12 @@
 // Package server is the network service layer over the typed map: a
 // compact length-prefixed binary protocol (GET/SET/DEL/CAS/INCR/SIZE,
-// request ids, pipelining) served by per-connection reader/writer
-// goroutine pairs with write coalescing. It is what turns the paper's
-// in-process throughput numbers into end-to-end serving numbers — the
-// protocol is built so that clients can keep many requests in flight
-// per connection, amortizing syscall and wakeup cost over whole
-// batches of operations instead of paying it per op.
+// request ids, pipelining) served by one goroutine per connection that
+// executes each batch of buffered requests and flushes their responses
+// with one write. It is what turns the paper's in-process throughput
+// numbers into end-to-end serving numbers — the protocol is built so
+// that clients can keep many requests in flight per connection,
+// amortizing syscall and wakeup cost over whole batches of operations
+// instead of paying it per op.
 //
 // The wire format is specified in docs/PROTOCOL.md. Every frame is
 //
@@ -170,13 +171,15 @@ func AppendUint32(dst []byte, v uint32) []byte {
 // returns the id, kind, and body. The body aliases the returned buffer:
 // it is valid until the next ReadFrame call with the same buf. io.EOF is
 // returned untouched on a clean close before any byte of a frame;
-// mid-frame closes surface as io.ErrUnexpectedEOF.
+// mid-frame closes surface as io.ErrUnexpectedEOF. The length word is
+// read into buf too: a local array would escape through r and cost an
+// allocation per frame.
 func ReadFrame(r io.Reader, max uint32, buf []byte) (id uint64, kind byte, body, nbuf []byte, err error) {
-	var lenb [4]byte
-	if _, err = io.ReadFull(r, lenb[:]); err != nil {
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err = io.ReadFull(r, buf); err != nil {
 		return 0, 0, nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(lenb[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n < frameHeader {
 		return 0, 0, nil, buf, ErrMalformed
 	}
