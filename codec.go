@@ -17,9 +17,11 @@ import (
 // The built-in integer and bool types convert bijectively to a word — the
 // type's 1, 2, 4 or 8 bytes, zero-extended — so a map whose key and value
 // types are both among them stores its elements in the word cells
-// themselves (the word route of typed.go). A 64-bit value of magnitude
-// ≥ 2^61 (every negative included) does not fit the value domain and
+// themselves (the word route of typed.go). An 8-byte signed value is
+// zigzag-folded first (0, -1, 1, -2, … → 0, 1, 2, 3, …), so a small
+// negative value is a small word too. What does not fit the value domain
 // escapes into an indirection arena whose slots are never given back: an
+// unsigned 8-byte value ≥ 2^61, a signed one outside [-2^60, 2^60). An
 // overwrite or a delete of such a value orphans one slot until the map
 // itself is collected — the paper's deferral of space reclamation
 // (§5.7), and the one left. Every other pair of types takes the generic
@@ -79,12 +81,13 @@ func fromWord[T any](x uint64, w uintptr) (v T) {
 }
 
 // valCodec encodes word-route values of type V into the core's 62-bit
-// value domain and back: inline when the word fits 61 bits — always, for
-// the types narrower than 8 bytes — and as escapeBit plus a slot of ar
-// otherwise.
+// value domain and back: inline when the word — zigzag-folded for the
+// 8-byte signed types — fits 61 bits, always for the types narrower than
+// 8 bytes, and as escapeBit plus a slot of ar otherwise.
 type valCodec[V any] struct {
-	w  uintptr   // wordWidth[V]()
-	ar *arena[V] // of the 8-byte types' escaped values; nil for narrower V
+	w      uintptr   // wordWidth[V]()
+	ar     *arena[V] // of the 8-byte types' escaped values; nil for narrower V
+	zigzag bool      // V is int64, or int of 8 bytes
 }
 
 // valCodecFor builds the codec of a V that is w = wordWidth[V]() bytes wide.
@@ -92,6 +95,11 @@ func valCodecFor[V any](w uintptr) valCodec[V] {
 	c := valCodec[V]{w: w}
 	if w == 8 {
 		c.ar = newArena[V]()
+		var z V
+		switch any(z).(type) {
+		case int64, int:
+			c.zigzag = true
+		}
 	}
 	return c
 }
@@ -101,6 +109,9 @@ func valCodecFor[V any](w uintptr) valCodec[V] {
 // operations that may not end up storing the operand.
 func (c *valCodec[V]) tryEnc(v V) (uint64, bool) {
 	x := toWord(v, c.w)
+	if c.zigzag {
+		x = x<<1 ^ uint64(int64(x)>>63)
+	}
 	return x, x <= directValMax
 }
 
@@ -113,6 +124,9 @@ func (c *valCodec[V]) enc(v V) uint64 {
 
 func (c *valCodec[V]) dec(x uint64) V {
 	if x <= directValMax {
+		if c.zigzag {
+			x = x>>1 ^ -(x & 1)
+		}
 		return fromWord[V](x, c.w)
 	}
 	return *c.ar.get(x &^ escapeBit)

@@ -101,13 +101,15 @@ func TestWidthCodec(t *testing.T) {
 	}
 }
 
-// checkEscape: an 8-byte value stays inline up to 2^61-1; the escaping
-// ones sit behind the arena, where equality is decided on decoded values,
-// not on slot references — CompareAndSwap takes them in and out.
+// checkEscape: an 8-byte value stays inline up to the word 2^61-1 —
+// the value 2^61-1 unsigned, -2^60 signed (zigzag-folded) — and inline
+// encodes to that word; the escaping ones sit behind the arena, where
+// equality is decided on decoded values, not on slot references —
+// CompareAndSwap takes them in and out.
 func checkEscape[V comparable](t *testing.T, inline V, escaping ...V) {
 	t.Helper()
 	c := valCodecFor[V](wordWidth[V]())
-	if x, ok := c.tryEnc(inline); !ok || x != directValMax {
+	if x, ok := c.tryEnc(inline); !ok || x != directValMax || c.dec(x) != inline {
 		t.Errorf("tryEnc(%T(%v)) = %#x, %v, want 2^61-1 inline", inline, inline, x, ok)
 	}
 	for _, v := range escaping {
@@ -139,10 +141,42 @@ func swapInAndOut[V comparable](t *testing.T, inline, escaped V) {
 
 func TestWidthCodecEscape(t *testing.T) {
 	checkEscape[uint64](t, 1<<61-1, 1<<61, math.MaxUint64, 1<<63)
-	checkEscape[int64](t, 1<<61-1, 1<<61, -1, math.MinInt64)
+	checkEscape[int64](t, -1<<60, 1<<60, -1<<60-1, math.MaxInt64, math.MinInt64)
 	checkEscape[uint](t, 1<<61-1, 1<<61, math.MaxUint, 1<<63)
-	checkEscape[int](t, 1<<61-1, 1<<61, -1, math.MinInt)
+	checkEscape[int](t, -1<<60, 1<<60, -1<<60-1, math.MaxInt, math.MinInt)
 	checkEscape[uintptr](t, 1<<61-1, 1<<61, ^uintptr(0), 1<<63)
+}
+
+// TestSignedCounterStaysInline: a signed counter that goes negative and
+// back stays in its cell — the zigzag fold keeps |v| < 2^60 inline — so
+// the escape arena, whose slots are never given back, stays empty (each
+// write of a negative value used to take one).
+func TestSignedCounterStaysInline(t *testing.T) {
+	m := New[uint64, int64]()
+	defer m.Close()
+	ar := m.b.(*wordBackend[uint64, int64]).vc.ar
+	want := int64(0)
+	for _, d := range []int64{-1, 1} {
+		for i := 0; i < 1000; i++ {
+			m.Compute(7, d, Add[int64])
+		}
+		want += 1000 * d
+		if v, _ := m.Load(7); v != want {
+			t.Fatalf("counter reads %d after 1000 more adds of %d, want %d", v, d, want)
+		}
+	}
+	if n := ar.n.Load(); n != 0 {
+		t.Fatalf("escape arena holds %d slots after a counter went to -1000 and back", n)
+	}
+	for _, v := range []int64{-1, -1 << 59, math.MinInt32} {
+		m.Store(8, v)
+		if got, _ := m.Load(8); got != v {
+			t.Fatalf("Store(%d) reads back %d", v, got)
+		}
+	}
+	if n := ar.n.Load(); n != 0 {
+		t.Fatalf("escape arena holds %d slots after storing negative values", n)
+	}
 }
 
 // TestDefaultHasherIntegers: the default hasher of an integer-keyed map

@@ -5,8 +5,8 @@
 // CompareAndSwap/CompareAndDelete race that the core tables already
 // prove safe under concurrent updates, deletions, and migrations.
 //
-// Entries wrap values with an expiry deadline and a last-access clock.
-// Expiry is enforced twice over:
+// Entries wrap values with an expiry deadline (and, in a budgeted cache,
+// a last-access clock). Expiry is enforced twice over:
 //
 //   - lazily on read: a Get that finds an expired entry atomically
 //     tombstones it via CompareAndDelete and reports a miss — an expired
@@ -62,23 +62,25 @@
 //
 // MaxEntries bounds the live ENTRY count. The stored value is a pointer
 // to an item, so a cache is on the map's generic route whatever its key
-// type: an evicted or expired entry gives everything back — value and key
-// to the GC, hash cell to the core's next cleanup migration, chain entry
-// to an arena page released when all its entries are — so memory follows
-// the budget however many keys pass through. An item carries its key so
-// that the sample ring can hold items, not copies of keys: 16 B more per
-// entry for a string key, budgeted or not (a string item moves from the
-// 32 B to the 48 B size class), though only a budgeted cache's ring reads
-// it. The ring keeps the items it holds reachable, values included,
+// type, and that route keeps the pointer itself in the chain entry: a
+// write allocates the item and nothing else, and a read goes from the
+// entry straight to the item. An evicted or expired entry gives
+// everything back — value and key to the GC, hash cell to the core's
+// next cleanup migration, chain entry to an arena page released when all
+// its entries are — so memory follows the budget however many keys pass
+// through. An unbudgeted cache's item is its value and deadline alone (a
+// string item is 24 B). A budgeted cache's item also carries its access
+// clock and its key, so that the sample ring can hold items, not copies
+// of keys: 24 B more for a string key (a string item in the 48 B size
+// class). The ring keeps the items it holds reachable, values included,
 // until their slots are overwritten or cleared. It has the budget rounded
 // up to a power of two slots, so a budgeted cache keeps at most twice its
 // budget of dead or replaced items reachable beyond its live entries. A
-// sweep tick
-// visits at most 16 batches of entries at the front, where it stops at
-// the first batch of live ones, plus one batch behind its cursor; a
-// cursor invalidated by a table migration restarts from the front, so a
-// cycle spanning a migration may re-visit entries (never skip stable
-// ones). The eviction sample ring covers min(budget rounded up, 2^22)
+// sweep tick visits at most 16 batches of entries at the front, where it
+// stops at the first batch of live ones, plus one batch behind its
+// cursor; a cursor invalidated by a table migration restarts from the
+// front, so a cycle spanning a migration may re-visit entries (never
+// skip stable ones). The eviction sample ring covers min(budget rounded up, 2^22)
 // recent writes — budgets beyond that get window-LRU over the newest
 // writes.
 package cache
@@ -88,6 +90,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	growt "repro"
 	"repro/internal/obs/trace"
@@ -125,23 +128,24 @@ const (
 	maxRing = 1 << 22
 )
 
-// item is one cache entry: the value, its expiry deadline, and the
-// access clock driving sampled LRU. val and expiry are immutable after
-// construction — every logical update replaces the whole item, so the
-// item pointer doubles as the entry's version for CompareAndSwap /
-// CompareAndDelete races.
+// item is one cache entry: the value and its expiry deadline, both
+// immutable after construction — every logical update replaces the whole
+// item, so the item pointer doubles as the entry's version for
+// CompareAndSwap / CompareAndDelete races.
 type item[V any] struct {
 	val    V
-	expiry int64        // unix nanos; 0 = immortal
-	access atomic.Int64 // unix nanos of the last touch (sampled-LRU clock), or gone
+	expiry int64 // unix nanos; 0 = immortal
 }
 
-// keyed is how an item is allocated: with its key beside it. The map
-// stores &kd.item and the sample ring holds kd, so eviction can name the
-// entry it picked without asking the map for it.
+// keyed is how a budgeted cache allocates an item: with the access clock
+// driving sampled LRU and the key beside it. The map stores &kd.item and
+// the sample ring holds kd, so eviction can name the entry it picked
+// without asking the map for it. An unbudgeted cache allocates bare
+// items, which nothing may take for keyed (see keyedOf).
 type keyed[K comparable, V any] struct {
 	item[V]
-	key K
+	access atomic.Int64 // unix nanos of the last touch, or gone
+	key    K
 }
 
 // gone is the access clock of an item collected by collect, whose
@@ -297,11 +301,29 @@ func dead[V any](it *item[V], now int64) bool {
 	return it.expiry != 0 && now >= it.expiry
 }
 
-// newItem builds a fresh entry for k with its access clock primed.
-func newItem[K comparable, V any](k K, v V, now, expiry int64) *keyed[K, V] {
-	it := &keyed[K, V]{item: item[V]{val: v, expiry: expiry}, key: k}
-	it.access.Store(now)
-	return it
+// newItem builds a fresh entry for k: keyed, with its access clock
+// primed, in a budgeted cache, bare otherwise.
+func (c *Cache[K, V]) newItem(k K, v V, now, expiry int64) *item[V] {
+	if c.ring == nil {
+		return &item[V]{val: v, expiry: expiry}
+	}
+	kd := &keyed[K, V]{item: item[V]{val: v, expiry: expiry}, key: k}
+	kd.access.Store(now)
+	return &kd.item
+}
+
+// keyedOf is the keyed allocation that it starts. Only for items of a
+// budgeted cache, all of which newItem allocated keyed.
+func (c *Cache[K, V]) keyedOf(it *item[V]) *keyed[K, V] {
+	return (*keyed[K, V])(unsafe.Pointer(it))
+}
+
+// touch sets the access clock of it to at, in a budgeted cache: nothing
+// else has one.
+func (c *Cache[K, V]) touch(it *item[V], at int64) {
+	if c.ring != nil {
+		c.keyedOf(it).access.Store(at)
+	}
 }
 
 // view is the slice of the typed map's surface the cache operates
@@ -344,7 +366,7 @@ func (o *ops[K, V]) live(k K, now int64) *item[V] {
 // survives untouched. Either way it is no longer the entry: it is gone.
 func (o *ops[K, V]) collect(k K, it *item[V]) bool {
 	ok := o.v.CompareAndDelete(k, it)
-	it.access.Store(gone)
+	o.c.touch(it, gone)
 	if ok {
 		o.c.countExpired()
 	}
@@ -360,7 +382,7 @@ func (o *ops[K, V]) Get(k K) (v V, ok bool) {
 		o.c.countMiss()
 		return v, false
 	}
-	it.access.Store(now)
+	o.c.touch(it, now)
 	o.c.countHit()
 	return it.val, true
 }
@@ -373,8 +395,8 @@ func (o *ops[K, V]) Set(k K, v V) { o.SetTTL(k, v, o.c.set.TTL) }
 // immortal), replacing any previous entry and deadline.
 func (o *ops[K, V]) SetTTL(k K, v V, ttl time.Duration) {
 	now := o.c.now()
-	it := newItem(k, v, now, deadline(now, ttl))
-	o.v.Store(k, &it.item)
+	it := o.c.newItem(k, v, now, deadline(now, ttl))
+	o.v.Store(k, it)
 	o.noteWrite(it, now)
 }
 
@@ -385,8 +407,8 @@ func (o *ops[K, V]) SetTTL(k K, v V, ttl time.Duration) {
 // expired (never observable).
 func (o *ops[K, V]) SetExpiry(k K, v V, at int64) {
 	now := o.c.now()
-	it := newItem(k, v, now, at)
-	o.v.Store(k, &it.item)
+	it := o.c.newItem(k, v, now, at)
+	o.v.Store(k, it)
 	o.noteWrite(it, now)
 }
 
@@ -399,16 +421,16 @@ func (o *ops[K, V]) SetExpiry(k K, v V, at int64) {
 // invocation.
 func (o *ops[K, V]) Compute(k K, d V, up func(cur, d V) V) bool {
 	now := o.c.now()
-	fresh := newItem(k, d, now, deadline(now, o.c.set.TTL))
+	fresh := o.c.newItem(k, d, now, deadline(now, o.c.set.TTL))
 	revived := false
 	next := fresh // the item the applied invocation stored
-	inserted := o.v.Compute(k, &fresh.item, func(cur, _ *item[V]) *item[V] {
+	inserted := o.v.Compute(k, fresh, func(cur, _ *item[V]) *item[V] {
 		if revived = dead(cur, now); revived {
 			next = fresh
 		} else {
-			next = newItem(k, up(cur.val, d), now, cur.expiry)
+			next = o.c.newItem(k, up(cur.val, d), now, cur.expiry)
 		}
-		return &next.item
+		return next
 	})
 	if inserted {
 		next = fresh
@@ -433,7 +455,7 @@ func (o *ops[K, V]) CompareAndSwap(k K, old, new V) (swapped, found bool) {
 		if any(it.val) != any(old) {
 			return false, true
 		}
-		if nw := newItem(k, new, now, it.expiry); o.v.CompareAndSwap(k, it, &nw.item) {
+		if nw := o.c.newItem(k, new, now, it.expiry); o.v.CompareAndSwap(k, it, nw) {
 			o.noteWrite(nw, now)
 			return true, true
 		}
@@ -472,7 +494,7 @@ func (o *ops[K, V]) Expire(k K, ttl time.Duration) bool {
 		if it == nil {
 			return false
 		}
-		if nw := newItem(k, it.val, now, deadline(now, ttl)); o.v.CompareAndSwap(k, it, &nw.item) {
+		if nw := o.c.newItem(k, it.val, now, deadline(now, ttl)); o.v.CompareAndSwap(k, it, nw) {
 			o.noteWrite(nw, now)
 			return true
 		}
@@ -531,12 +553,12 @@ func (c *Cache[K, V]) Range(fn func(k K, v V) bool) {
 // noteWrite records the item a write stored in the sample ring and
 // enforces the entry budget. Called after every write that stores an
 // item.
-func (o *ops[K, V]) noteWrite(it *keyed[K, V], now int64) {
+func (o *ops[K, V]) noteWrite(it *item[V], now int64) {
 	c := o.c
 	if c.ring == nil {
 		return
 	}
-	c.ring[c.ringPos.Add(1)&c.ringMask].Store(it)
+	c.ring[c.ringPos.Add(1)&c.ringMask].Store(c.keyedOf(it))
 	o.enforceBudget(now)
 }
 

@@ -629,8 +629,9 @@ func TestEvictionAsksMapOnce(t *testing.T) {
 // TestCacheAllocs pins what an operation on a present key allocates. A
 // read and a refused conditional write allocate nothing, through the
 // handle-free Cache and through a Session; a conditional write that
-// succeeds allocates the new item and the map's box around its pointer,
-// nothing else — and so does an over-budget Set that evicts an entry.
+// succeeds allocates the new item, nothing else — the map keeps its
+// pointer as the value word, with no box around it (that box made 2) —
+// and so does an over-budget Set that evicts an entry.
 func TestCacheAllocs(t *testing.T) {
 	clk := newFakeClock()
 	c := newTestCache[string, string](clk)
@@ -657,7 +658,7 @@ func TestCacheAllocs(t *testing.T) {
 		{"refused Session.CompareAndSwap", 0, func() { s.CompareAndSwap("key", "other", "v1") }},
 		{"refused CompareAndDelete", 0, func() { s.CompareAndDelete("key", "other") }},
 		{"absent Expire", 0, func() { s.Expire("absent", time.Hour) }},
-		{"successful CompareAndSwap", 2, func() {
+		{"successful CompareAndSwap", 1, func() {
 			next := "v1"
 			if cur == "v1" {
 				next = "v0"
@@ -667,8 +668,8 @@ func TestCacheAllocs(t *testing.T) {
 			}
 			cur = next
 		}},
-		{"Expire", 2, func() { s.Expire("key", time.Hour) }},
-		{"over-budget Set", 2, func() {
+		{"Expire", 1, func() { s.Expire("key", time.Hour) }},
+		{"over-budget Set", 1, func() {
 			evicted := b.Stats().Evicted
 			b.Set(next, "v")
 			next++

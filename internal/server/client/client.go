@@ -253,7 +253,9 @@ func (cl *Client) Size() (uint64, error) {
 // MGet fetches a batch of keys in one frame. vals is parallel to keys:
 // vals[i] is nil when keys[i] was absent (or expired) — a partial miss
 // is an ordinary reply, not an error. A present-but-empty value comes
-// back as a non-nil empty slice.
+// back as a non-nil empty slice. The values share one backing array, the
+// reply's: each is capped at its own end, so appending to one copies it
+// instead of overwriting the next.
 func (cl *Client) MGet(keys ...[]byte) (vals [][]byte, err error) {
 	r := cl.conn().roundTrip(server.OpMGet, req{raw: server.AppendUint32(nil, uint32(len(keys))), fields: keys})
 	switch {
@@ -266,7 +268,8 @@ func (cl *Client) MGet(keys ...[]byte) (vals [][]byte, err error) {
 }
 
 // parseMGet decodes an MGET reply body: per requested key, found:u8 then
-// (when found) the value as a length-prefixed byte string.
+// (when found) the value as a length-prefixed byte string. The values
+// are slices of b.
 func parseMGet(b []byte, n int) ([][]byte, error) {
 	vals := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
@@ -287,7 +290,7 @@ func parseMGet(b []byte, n int) ([][]byte, error) {
 		if uint32(len(b)) < vlen {
 			return nil, fmt.Errorf("client: MGET: reply truncated at entry %d", i)
 		}
-		vals = append(vals, append([]byte{}, b[:vlen]...))
+		vals = append(vals, b[:vlen:vlen])
 		b = b[vlen:]
 	}
 	if len(b) != 0 {

@@ -49,6 +49,37 @@ func ident(x uint64) uint64     { return x }
 func decimal(x uint64) string   { return strconv.FormatUint(x, 10) }
 func undecimal(s string) uint64 { x, _ := strconv.ParseUint(s, 10, 64); return x }
 
+// interned holds one pointer per contended value, so that a value handed
+// to CompareAndDelete is the very pointer a store put there: pointer
+// values compare by identity.
+var interned = func() []*uint64 {
+	ps := make([]*uint64, 1001)
+	for i := range ps {
+		ps[i] = new(uint64)
+		*ps[i] = uint64(i)
+	}
+	return ps
+}()
+
+// pointee names a value word by a pointer to it (interned for contended
+// values, fresh for fillers), unpointee reads it back (0 for the nil a
+// miss returns).
+func pointee(x uint64) *uint64 {
+	if x < uint64(len(interned)) {
+		return interned[x]
+	}
+	p := new(uint64)
+	*p = x
+	return p
+}
+
+func unpointee(p *uint64) uint64 {
+	if p == nil {
+		return 0
+	}
+	return *p
+}
+
 // facadeLinearizable records histories on a small set of contended keys
 // through growt.Map — odd workers through a handle of their own, even ones
 // through the handle-free methods — and validates them with the
@@ -173,6 +204,10 @@ func TestFacadeLinearizable(t *testing.T) {
 		t.Run(name+"/generic-uint64-string", func(t *testing.T) { // default integer hasher
 			facadeLinearizable(t, growt.New[uint64, string](growt.WithCapacity(8)),
 				wordCodec[uint64, string]{ident, decimal, undecimal}, heavy, true)
+		})
+		t.Run(name+"/generic-string-pointer", func(t *testing.T) { // unboxed value words
+			facadeLinearizable(t, growt.New[string, *uint64](growt.WithCapacity(8)),
+				wordCodec[string, *uint64]{decimal, pointee, unpointee}, heavy, true)
 		})
 		t.Run(name+"/generic-string", func(t *testing.T) {
 			facadeLinearizable(t, growt.New[string, uint64](growt.WithCapacity(8)), strKey, heavy, true)

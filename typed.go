@@ -2,9 +2,11 @@ package growt
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -31,8 +33,8 @@ import (
 //
 // Keys and values on the word route go through the width codec of
 // codec.go; the one deferral of space reclamation left is there: 64-bit
-// integer values of magnitude ≥ 2^61 sit behind a never-reclaimed
-// indirection arena.
+// unsigned values ≥ 2^61 and signed ones outside [-2^60, 2^60) sit
+// behind a never-reclaimed indirection arena.
 
 // Map is a shared typed concurrent hash table built by New. The zero
 // value is not usable.
@@ -623,8 +625,13 @@ func (h *wordHandle[K, V]) loadAndDelete(k K) (V, bool) {
 // key's hash (through the full-key wrapper, so every hash value is a
 // legal word key) to the arena reference of the head of a collision
 // chain; a chain entry holds the real key, an atomically swappable value
-// pointer and the next link. An entry is born live and dies once: delete
-// swaps its value pointer to nil, and a later insert of the same key
+// word and the next link. When V is a pointer type the value word is the
+// value itself — §5.7's one pointer to a complex value: one hop from
+// entry to value and nothing allocated per write; a stored nil pointer
+// is nilVal's address. Any other V is boxed: the word points to an
+// immutable copy made per write. Either way a write swaps in a new word,
+// and words compare by identity. An entry is born live and dies once:
+// delete swaps its value word to nil, and a later insert of the same key
 // appends a fresh entry at the chain's tail. A chain whose entries are
 // all dead is sealed — its tail's next link is swung from 0 to sealed, so
 // nothing can be appended any more — and then taken out of the core with
@@ -665,9 +672,19 @@ const sealed = ^uint64(0)
 
 type entry[K comparable, V any] struct {
 	key  K
-	val  atomic.Pointer[V] // nil = dead
-	next atomic.Uint64     // reference of the next chain entry; 0 = tail; sealed
+	val  unsafe.Pointer // value word (genericBackend.wrap), read and written atomically; nil = dead
+	next atomic.Uint64  // reference of the next chain entry; 0 = tail; sealed
 }
+
+// load, store and cas are the value word's only accessors.
+func (e *entry[K, V]) load() unsafe.Pointer   { return atomic.LoadPointer(&e.val) }
+func (e *entry[K, V]) store(p unsafe.Pointer) { atomic.StorePointer(&e.val, p) }
+func (e *entry[K, V]) cas(old, new unsafe.Pointer) bool {
+	return atomic.CompareAndSwapPointer(&e.val, old, new)
+}
+
+// nilVal's address is the value word of a stored nil pointer.
+var nilVal byte
 
 // The generic route's reclamation series, touched only when a chain is
 // dropped or a page is built or retired — never per Load or Store. A map
@@ -679,11 +696,12 @@ var (
 )
 
 type genericBackend[K comparable, V any] struct {
-	fk   *core.FullKeys
-	hash func(K) uint64
-	ar   *arena[entry[K, V]]
-	size atomic.Int64
-	gen  uint64 // process-unique id tagging resumable cursors
+	fk      *core.FullKeys
+	hash    func(K) uint64
+	ar      *arena[entry[K, V]]
+	size    atomic.Int64
+	gen     uint64 // process-unique id tagging resumable cursors
+	unboxed bool   // V is a pointer type: the value word is the value
 }
 
 // genericGen hands every generic backend a process-unique nonzero
@@ -691,7 +709,33 @@ type genericBackend[K comparable, V any] struct {
 var genericGen atomic.Uint64
 
 func newGenericBackend[K comparable, V any](c *config) *genericBackend[K, V] {
-	return &genericBackend[K, V]{fk: newWordCore(c), hash: hasherFor[K](c), ar: newArena[entry[K, V]](), gen: genericGen.Add(1)}
+	return &genericBackend[K, V]{fk: newWordCore(c), hash: hasherFor[K](c), ar: newArena[entry[K, V]](), gen: genericGen.Add(1),
+		unboxed: reflect.TypeOf((*V)(nil)).Elem().Kind() == reflect.Pointer}
+}
+
+// wrap makes the value word of v: the pointer itself (nilVal's address
+// for nil) when V is a pointer type, else a fresh box holding a copy.
+func (b *genericBackend[K, V]) wrap(v V) unsafe.Pointer {
+	if b.unboxed {
+		if p := *(*unsafe.Pointer)(unsafe.Pointer(&v)); p != nil {
+			return p
+		}
+		return unsafe.Pointer(&nilVal)
+	}
+	box := new(V)
+	*box = v
+	return unsafe.Pointer(box)
+}
+
+// unwrap is wrap's inverse on a live (non-nil) value word.
+func (b *genericBackend[K, V]) unwrap(p unsafe.Pointer) (v V) {
+	if !b.unboxed {
+		return *(*V)(p)
+	}
+	if p != unsafe.Pointer(&nilVal) {
+		*(*unsafe.Pointer)(unsafe.Pointer(&v)) = p
+	}
+	return v
 }
 
 func (b *genericBackend[K, V]) newHandle() backendHandle[K, V] {
@@ -729,7 +773,7 @@ func (b *genericBackend[K, V]) rangeFrom(cur tables.Cursor, fn func(K, V) bool) 
 		}
 		e := &p.slots[idx%arenaPageSize]
 		idx++
-		if vp := e.val.Load(); vp != nil && !fn(e.key, *vp) {
+		if p := e.load(); p != nil && !fn(e.key, b.unwrap(p)) {
 			if idx >= n {
 				break
 			}
@@ -746,7 +790,7 @@ func (b *genericBackend[K, V]) newEntry(k K, v V) uint64 {
 		obsPagesLive.Add(1)
 	}
 	e.key = k
-	e.val.Store(&v)
+	e.store(b.wrap(v))
 	return ref
 }
 
@@ -777,7 +821,7 @@ func (h *genericHandle[K, V]) findEntry(hash uint64, k K) (e *entry[K, V], head 
 		if e = h.b.ar.get(ref); e == nil {
 			break // the chain was dropped under us
 		}
-		if e.key == k && e.val.Load() != nil {
+		if e.key == k && e.load() != nil {
 			return e, head
 		}
 	}
@@ -813,17 +857,16 @@ retry:
 				continue retry // the chain was dropped under us
 			}
 			if e.key == k {
-				for p := e.val.Load(); p != nil; p = e.val.Load() {
+				for p := e.load(); p != nil; p = e.load() {
 					if ref != 0 { // lost to another inserter of k; up may panic
-						b.ar.get(ref).val.Store(nil)
+						b.ar.get(ref).store(nil)
 						b.giveBack(ref)
 						ref = 0
 					}
 					if up == nil {
 						return false
 					}
-					nv := up(*p, d)
-					if e.val.CompareAndSwap(p, &nv) {
+					if e.cas(p, b.wrap(up(b.unwrap(p), d))) {
 						return false
 					}
 				}
@@ -855,7 +898,7 @@ retry:
 func (h *genericHandle[K, V]) reap(hash, head uint64) {
 	for at := head; ; {
 		e := h.b.ar.get(at)
-		if e == nil || e.val.Load() != nil {
+		if e == nil || e.load() != nil {
 			return // already dropped, or still in use
 		}
 		switch nx := e.next.Load(); nx {
@@ -903,12 +946,11 @@ func (h *genericHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
 		return false
 	}
 	for {
-		p := e.val.Load()
+		p := e.load()
 		if p == nil {
 			return false
 		}
-		nv := up(*p, d)
-		if e.val.CompareAndSwap(p, &nv) {
+		if e.cas(p, h.b.wrap(up(h.b.unwrap(p), d))) {
 			return true
 		}
 	}
@@ -917,8 +959,8 @@ func (h *genericHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
 //growt:hotpath
 func (h *genericHandle[K, V]) find(k K) (v V, ok bool) {
 	if e, _ := h.findEntry(h.b.hash(k), k); e != nil {
-		if p := e.val.Load(); p != nil {
-			return *p, true
+		if p := e.load(); p != nil {
+			return h.b.unwrap(p), true
 		}
 	}
 	return
@@ -929,37 +971,36 @@ func (h *genericHandle[K, V]) del(k K) bool {
 	return ok
 }
 
-// compareAndSwap CASes the entry's value pointer directly: a refused
-// call performs no write and allocates nothing.
+// compareAndSwap CASes the entry's value word directly: a refused call
+// performs no write and allocates nothing.
 func (h *genericHandle[K, V]) compareAndSwap(k K, old, new V) bool {
 	e, _ := h.findEntry(h.b.hash(k), k)
 	if e == nil {
 		return false
 	}
 	for {
-		p := e.val.Load()
-		if p == nil || any(*p) != any(old) {
+		p := e.load()
+		if p == nil || any(h.b.unwrap(p)) != any(old) {
 			return false
 		}
-		nv := new
-		if e.val.CompareAndSwap(p, &nv) {
+		if e.cas(p, h.b.wrap(new)) {
 			return true
 		}
 	}
 }
 
-// kill is the one delete of the generic route: it CASes the value of k's
-// live entry to nil — verdict and removal are that one CAS — provided
+// kill is the one delete of the generic route: it CASes the value word of
+// k's live entry to nil — verdict and removal are that one CAS — provided
 // match accepts the value (nil accepts all), then lets the chain go if
 // that was its last live entry.
 func (h *genericHandle[K, V]) kill(k K, match func(V) bool) (v V, ok bool) {
 	hash := h.b.hash(k)
 	if e, head := h.findEntry(hash, k); e != nil {
-		for p := e.val.Load(); p != nil && (match == nil || match(*p)); p = e.val.Load() {
-			if e.val.CompareAndSwap(p, nil) {
+		for p := e.load(); p != nil && (match == nil || match(h.b.unwrap(p))); p = e.load() {
+			if e.cas(p, nil) {
 				h.b.size.Add(-1)
 				h.reap(hash, head)
-				return *p, true
+				return h.b.unwrap(p), true
 			}
 		}
 	}

@@ -801,15 +801,86 @@ func TestSessionUseAfterClosePanics(t *testing.T) {
 	}
 }
 
+// TestPointerValues: a map with a pointer value type keeps the pointer
+// itself as the entry's value word. A stored nil pointer is present and
+// nil, not absent; CompareAndSwap and CompareAndDelete decide on pointer
+// identity, never on what the pointers point at; Range and
+// LoadAndDelete hand back the very pointer that was stored.
+func TestPointerValues(t *testing.T) {
+	m := growt.New[string, *point]()
+	defer m.Close()
+	a, b, twinA := &point{1, 1}, &point{2, 2}, &point{1, 1}
+
+	m.Store("nil", nil)
+	if v, ok := m.Load("nil"); !ok || v != nil {
+		t.Fatalf("Load of a stored nil = %v, %v; want nil, true", v, ok)
+	}
+	if v, loaded := m.LoadOrStore("nil", a); !loaded || v != nil {
+		t.Fatalf("LoadOrStore over a stored nil = %v, %v; want nil, true", v, loaded)
+	}
+	if h := m.Handle(); h.Insert("nil", a) || !h.Insert("nil2", nil) {
+		t.Fatal("Insert treated a stored nil as absent, or refused to store one")
+	}
+	if m.ApproxSize() != 2 {
+		t.Fatalf("ApproxSize = %d with two nils stored, want 2", m.ApproxSize())
+	}
+
+	m.Store("k", a)
+	if m.CompareAndSwap("k", twinA, b) {
+		t.Fatal("CompareAndSwap accepted an equal pointee behind another pointer")
+	}
+	if !m.CompareAndSwap("k", a, b) || m.CompareAndSwap("k", a, b) {
+		t.Fatal("CompareAndSwap: the current pointer refused, or a stale one accepted")
+	}
+	if !m.CompareAndSwap("nil", nil, a) || !m.CompareAndSwap("nil", a, nil) {
+		t.Fatal("CompareAndSwap into or out of a stored nil refused")
+	}
+	if m.CompareAndDelete("k", a) || m.CompareAndDelete("k", &point{2, 2}) {
+		t.Fatal("CompareAndDelete removed a value it was not handed")
+	}
+	if !m.CompareAndDelete("k", b) {
+		t.Fatal("CompareAndDelete refused the current pointer")
+	}
+	if !m.CompareAndDelete("nil2", nil) {
+		t.Fatal("CompareAndDelete refused a stored nil")
+	}
+
+	m.Store("x", a)
+	m.Store("y", b)
+	seen := map[string]*point{}
+	m.Range(func(k string, v *point) bool { seen[k] = v; return true })
+	if len(seen) != 3 || seen["x"] != a || seen["y"] != b || seen["nil"] != nil {
+		t.Fatalf("Range saw %v, want x→%p, y→%p, nil→nil", seen, a, b)
+	}
+	if v, ok := m.LoadAndDelete("x"); !ok || v != a {
+		t.Fatalf("LoadAndDelete = %p, %v; want %p, true", v, ok, a)
+	}
+	if v, ok := m.LoadAndDelete("nil"); !ok || v != nil {
+		t.Fatalf("LoadAndDelete of a stored nil = %v, %v; want nil, true", v, ok)
+	}
+	if v, ok := m.LoadAndDelete("nil"); ok || v != nil {
+		t.Fatalf("second LoadAndDelete = %v, %v; want nil, false", v, ok)
+	}
+	m.Compute("y", nil, func(cur, _ *point) *point { return &point{cur.X + 1, cur.Y} })
+	if v, _ := m.Load("y"); v == b || v.X != 3 {
+		t.Fatalf("Compute left %v, want a new pointer to {3 2}", v)
+	}
+}
+
 // TestFacadeAllocs pins what an operation on a present key allocates: on
 // the generic route — a string key, or an integer key with a wide value —
-// nothing for a Load and the boxed value for a Store, on the word route
-// (inline values) nothing at all — neither the handle-free hop nor the
-// typed-to-word update wrapper may cost an allocation.
+// nothing for a Load and the boxed value for a Store, unless the value is
+// a pointer, which is stored as it is; on the word route (inline values)
+// nothing at all — neither the handle-free hop nor the typed-to-word
+// update wrapper may cost an allocation.
 func TestFacadeAllocs(t *testing.T) {
 	g := growt.New[string, string]()
 	defer g.Close()
 	g.Store("key", "v0")
+	gp := growt.New[string, *point]()
+	defer gp.Close()
+	p0, p1 := &point{0, 0}, &point{1, 1}
+	gp.Store("key", p0)
 	iw := growt.New[uint64, string]()
 	defer iw.Close()
 	iw.Store(7, "v0")
@@ -824,6 +895,8 @@ func TestFacadeAllocs(t *testing.T) {
 	}{
 		{"generic Map.Load", 0, func() { g.Load("key") }},
 		{"generic Map.Store", 1, func() { g.Store("key", "v1") }},
+		{"pointer-valued Map.Load", 0, func() { gp.Load("key") }},
+		{"pointer-valued Map.Store", 0, func() { gp.Store("key", p1) }},
 		{"integer-key wide-value Map.Load", 0, func() { iw.Load(7) }},
 		{"integer-key wide-value Map.Store", 1, func() { iw.Store(7, "v1") }},
 		{"word Map.Load", 0, func() { w.Load(7) }},
