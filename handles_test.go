@@ -33,6 +33,7 @@ func handlesMade[K comparable, V any](m *Map[K, V]) int {
 // TestOneGoroutineOneHandle: a slot hint lost at a GC must cost a look at
 // the other slots, not a handle. One goroutine, a million operations, a
 // forced GC every 10 000 (two in a row empty a sync.Pool): one handle.
+// Only the Stores borrow it: a Load writes nothing and borrows nothing.
 func TestOneGoroutineOneHandle(t *testing.T) {
 	m := New[string, int]()
 	defer m.Close()
@@ -49,8 +50,8 @@ func TestOneGoroutineOneHandle(t *testing.T) {
 	if n := handlesMade(m); n != 1 {
 		t.Fatalf("one goroutine made %d handles, want 1", n)
 	}
-	if got := m.PoolBorrows(); got != 1_000_000 {
-		t.Fatalf("PoolBorrows = %d after 1000000 operations", got)
+	if got := m.PoolBorrows(); got != 1_000_000/16 {
+		t.Fatalf("PoolBorrows = %d after 62500 Stores and 937500 Loads, want 62500", got)
 	}
 }
 

@@ -36,8 +36,9 @@
 // Two access disciplines are offered, mirroring the typed map's, over
 // one operation set: every operation is written once, as a method of
 // ops, against the six map methods it needs (view). The Cache embeds
-// ops over the map itself, so its methods are handle-free: each op
-// borrows a pooled map handle for its duration. A Session
+// ops over the map itself, so its methods are handle-free: each op that
+// writes the map borrows a pooled map handle for its duration (a map
+// Load borrows nothing). A Session
 // (NewSession/Close) embeds the same ops over a map session that pins
 // one pooled handle for its lifetime — the right shape for a connection
 // or worker loop, which then pays the map's acquire and release once
@@ -327,7 +328,7 @@ func (c *Cache[K, V]) touch(it *item[V], at int64) {
 }
 
 // view is the slice of the typed map's surface the cache operates
-// through: both *growt.Map (handle-free, one pool borrow per op) and
+// through: both *growt.Map (handle-free, one pool borrow per write) and
 // *growt.Session (one pinned handle) satisfy it at [K, *item[V]].
 type view[K comparable, V any] interface {
 	Load(k K) (*item[V], bool)

@@ -156,23 +156,37 @@ type Table struct {
 // NewTable allocates a zeroed generation with capacity rounded up to a
 // power of two (§7 restricts capacities to powers of two so the modulo
 // becomes a shift).
-//
-//growt:exclusive -- construction: the table is unpublished, no concurrent readers
 func NewTable(capacity uint64) *Table {
+	t := tableShape(capacity)
+	t.allocCells()
+	return t
+}
+
+// tableShape is a generation without its cells: the capacity a migration
+// target will have, before the goroutine that armed the migration
+// allocates it (Grow.launch).
+func tableShape(capacity uint64) *Table {
 	if capacity < 8 {
 		capacity = 8
 	}
 	logCap := uint(bits.Len64(capacity - 1))
 	capacity = uint64(1) << logCap
-	t := &Table{
-		cells:    make([]uint64, 2*capacity),
+	return &Table{
 		capacity: capacity,
 		shift:    64 - logCap,
 		logCap:   logCap,
 		probeCap: min(capacity, longProbeLimit),
 		gen:      tableGen.Add(1),
 	}
-	return t
+}
+
+// allocCells gives a shape its zeroed cells, once.
+//
+//growt:exclusive -- construction: the table is unpublished until its migration's started closes
+func (t *Table) allocCells() {
+	if t.cells == nil {
+		t.cells = make([]uint64, 2*t.capacity)
+	}
 }
 
 // tableGen hands every Table a process-unique, nonzero generation id, so

@@ -45,6 +45,14 @@ func (f *Folklore) ApproxSize() uint64 { return f.t.c.approxLive() }
 // Range iterates all live elements; quiescent use only.
 func (f *Folklore) Range(fn func(k, v uint64) bool) { f.t.rangeCore(fn) }
 
+// Find looks k up; a find writes nothing and needs no handle.
+//
+//growt:hotpath
+func (f *Folklore) Find(k uint64) (uint64, bool) {
+	checkKey(k)
+	return f.t.findCore(k)
+}
+
 // Handle returns a goroutine-private accessor (§5.1).
 func (f *Folklore) Handle() tables.Handle {
 	return &folkloreHandle{f: f, lc: newLocalCounter(handleSeed())}
@@ -126,10 +134,7 @@ func (h *folkloreHandle) CompareAndDelete(k, want uint64) bool {
 	return false
 }
 
-func (h *folkloreHandle) Find(k uint64) (uint64, bool) {
-	checkKey(k)
-	return h.f.t.findCore(k)
-}
+func (h *folkloreHandle) Find(k uint64) (uint64, bool) { return h.f.Find(k) }
 
 func (h *folkloreHandle) Delete(k uint64) bool {
 	_, ok := h.LoadAndDelete(k)

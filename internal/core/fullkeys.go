@@ -23,17 +23,45 @@ import (
 // Values keep the core's 62-bit domain.
 type FullKeys struct {
 	t0, t1 tables.Interface
+	f0, f1 finder // t0, t1 as handle-free finders; Handle refuses a subtable that is none
 
 	mu      sync.RWMutex
 	special map[uint64]uint64 // the ≤4 reserved-pattern keys
 }
 
 // NewFullKeys wraps a pair of tables built by mk (one per key half-space).
-// Their handles must be a tables.CompareAndDeleter and a
-// tables.LoadDeleter, as those of every table in this package are:
-// Handle panics otherwise.
+// The tables must find without a handle, and their handles must be a
+// tables.CompareAndDeleter and a tables.LoadDeleter, as every table in
+// this package does: Handle panics otherwise.
 func NewFullKeys(mk func() tables.Interface) *FullKeys {
-	return &FullKeys{t0: mk(), t1: mk(), special: make(map[uint64]uint64, 4)}
+	f := &FullKeys{t0: mk(), t1: mk(), special: make(map[uint64]uint64, 4)}
+	f.f0, _ = f.t0.(finder)
+	f.f1, _ = f.t1.(finder)
+	return f
+}
+
+// finder is a table that looks a key up without a handle: a find writes
+// nothing (Grow.Find, Folklore.Find).
+type finder interface {
+	Find(k uint64) (uint64, bool)
+}
+
+// Find looks k up without a handle; the special slots are read under the
+// read lock.
+//
+//growt:hotpath
+func (f *FullKeys) Find(k uint64) (uint64, bool) {
+	hi, core, special := split(k)
+	if special {
+		f.mu.RLock()
+		defer f.mu.RUnlock()
+		v, ok := f.special[k]
+		return v, ok
+	}
+	if hi {
+		return f.f1.Find(core)
+	}
+	return f.f0.Find(core)
 }
 
 const fullTopBit = uint64(1) << 63
@@ -82,6 +110,9 @@ func subHandleOf(t tables.Interface) subHandle {
 	h, ok := t.Handle().(subHandle)
 	if !ok {
 		panic(fmt.Sprintf("core: FullKeys over %T, whose handles are not a tables.CompareAndDeleter and a tables.LoadDeleter", t))
+	}
+	if _, ok := t.(finder); !ok {
+		panic(fmt.Sprintf("core: FullKeys over %T, which does not find without a handle", t))
 	}
 	return h
 }
@@ -295,16 +326,7 @@ func (h *fullKeysHandle) InsertOrUpdate(k, d uint64, up tables.UpdateFn) bool {
 	return h.sub(hi).InsertOrUpdate(core, d, up)
 }
 
-func (h *fullKeysHandle) Find(k uint64) (uint64, bool) {
-	hi, core, special := split(k)
-	if special {
-		h.f.mu.RLock()
-		defer h.f.mu.RUnlock()
-		v, ok := h.f.special[k]
-		return v, ok
-	}
-	return h.sub(hi).Find(core)
-}
+func (h *fullKeysHandle) Find(k uint64) (uint64, bool) { return h.f.Find(k) }
 
 func (h *fullKeysHandle) Delete(k uint64) bool {
 	hi, core, special := split(k)

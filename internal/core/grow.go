@@ -66,7 +66,9 @@ type Grow struct {
 	// Monotone; advanced in onDone after the table pointer flips.
 	gen atomic.Uint64
 
-	// busy flags of all live handles; only used by synchronized variants.
+	// busy flags of all live handles; only used by synchronized variants,
+	// and raised by updates only (§5.3.2 "Prevent Concurrent Updates"):
+	// a find never enters, it reads whichever generation is current.
 	busyMu sync.Mutex
 	busys  []*pad.Bool
 
@@ -101,11 +103,16 @@ func (g *Grow) Generation() uint64 { return g.gen.Load() }
 func (g *Grow) Capacity() uint64 { return g.cur.Load().capacity }
 
 // MemBytes reports the backing memory of the current generation plus any
-// in-flight migration target (tables.MemUser, Fig. 10).
+// in-flight migration target (tables.MemUser, Fig. 10). A target counts
+// once started is closed: launch allocates its cells just before.
 func (g *Grow) MemBytes() uint64 {
 	b := g.cur.Load().MemBytes()
 	if m := g.mig.Load(); m != nil {
-		b += m.dst.MemBytes()
+		select {
+		case <-m.started:
+			b += m.dst.MemBytes()
+		default:
+		}
 	}
 	return b
 }
@@ -113,6 +120,19 @@ func (g *Grow) MemBytes() uint64 {
 // ApproxSize estimates the number of live elements (§5.2), read from the
 // current generation's counters.
 func (g *Grow) ApproxSize() uint64 { return g.cur.Load().c.approxLive() }
+
+// Find looks k up in the current generation. It needs no handle: a find
+// writes nothing (§4), so it neither raises a busy flag nor helps a
+// migration. On the marking variants a copied cell stays readable with
+// its mark set; on the synchronized ones drainBusy has excluded every
+// updater before the copy starts and the copy only reads src, so a find
+// that reads src after the flip returns its state at the flip.
+//
+//growt:hotpath
+func (g *Grow) Find(k uint64) (uint64, bool) {
+	checkKey(k)
+	return g.cur.Load().findCore(k)
+}
 
 // Range iterates live elements; quiescent use only.
 func (g *Grow) Range(fn func(k, v uint64) bool) { g.cur.Load().rangeCore(fn) }
@@ -153,7 +173,10 @@ func (g *Grow) initiate(src *Table) {
 	if live < src.capacity/8 && src.capacity > 64 {
 		newCap = src.capacity / 2 // shrink
 	}
-	m := g.migrationTo(src, NewTable(newCap))
+	// The target is a shape until launch: only the goroutine that wins
+	// the slot allocates its cells. A loser allocates nothing; an op that
+	// needs the new table waits on started (assist).
+	m := g.migrationTo(src, tableShape(newCap))
 	if !g.arm(m) {
 		return // lost the slot or the generation race; ops help/wait and retry
 	}
@@ -213,7 +236,10 @@ func (g *Grow) arm(m *migration) bool {
 }
 
 // launch starts an armed migration per the strategy's recruitment policy.
+// It allocates the target's cells first, if the migration was armed with
+// a shape: every other thread is held at started until then.
 func (g *Grow) launch(m *migration) {
+	m.dst.allocCells()
 	if g.strategy.synchronized() {
 		g.drainBusy()
 	}
@@ -294,7 +320,7 @@ func (g *Grow) ShrinkToFit() {
 		src = g.cur.Load()
 	}
 	live := src.c.approxLive()
-	target := NewTable(2*live + 16)
+	target := tableShape(2*live + 16)
 	if target.capacity >= src.capacity {
 		return
 	}
@@ -350,9 +376,10 @@ func (h *growHandle) retag(t *Table) {
 	}
 }
 
-// enter begins an operation: in synchronized mode it raises the busy flag
+// enter begins an update: in synchronized mode it raises the busy flag
 // and backs off if a migration is armed. Returns the table to operate on
-// and false if the caller must assist and retry.
+// and false if the caller must assist and retry. Finds do not enter
+// (Grow.Find): the flag guards updates only.
 func (h *growHandle) enter() (*Table, bool) {
 	if h.busy != nil {
 		h.busy.Store(true)
@@ -365,7 +392,7 @@ func (h *growHandle) enter() (*Table, bool) {
 	return h.g.cur.Load(), true
 }
 
-// exit ends an operation and, if the counter flushed, checks the grow
+// exit ends an update and, if the counter flushed, checks the grow
 // trigger (outside the busy section to keep drainBusy deadlock-free).
 func (h *growHandle) exit(flushed bool) {
 	if h.busy != nil {
@@ -484,18 +511,7 @@ func (h *growHandle) InsertOrAdd(k, d uint64) bool {
 	}
 }
 
-func (h *growHandle) Find(k uint64) (uint64, bool) {
-	checkKey(k)
-	for {
-		t, ok := h.enter()
-		if !ok {
-			continue
-		}
-		v, found := t.findCore(k)
-		h.exit(false)
-		return v, found
-	}
-}
+func (h *growHandle) Find(k uint64) (uint64, bool) { return h.g.Find(k) }
 
 func (h *growHandle) Delete(k uint64) bool {
 	_, ok := h.LoadAndDelete(k)

@@ -96,9 +96,12 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	return cl, nil
 }
 
-// dialUntil retries the dial until deadline (at least one attempt).
+// dialUntil retries the dial until deadline (at least one attempt). It
+// waits 1 ms after the first refusal and twice as long after each next
+// one, up to 50 ms, so a server that binds within a few ms is reached
+// within a few ms.
 func dialUntil(addr string, deadline time.Time) (net.Conn, error) {
-	for {
+	for wait := time.Millisecond; ; wait = min(2*wait, 50*time.Millisecond) {
 		nc, err := net.Dial("tcp", addr)
 		if err == nil {
 			return nc, nil
@@ -106,7 +109,7 @@ func dialUntil(addr string, deadline time.Time) (net.Conn, error) {
 		if time.Now().After(deadline) {
 			return nil, err
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(wait)
 	}
 }
 

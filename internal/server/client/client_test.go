@@ -360,3 +360,41 @@ func TestMGetAllocs(t *testing.T) {
 		t.Fatalf("MGet allocates %v times with %d values found, %v with none", all, n, none)
 	}
 }
+
+// TestDialReachesLateListener: a server that starts listening about 5 ms
+// after Dial starts is connected within 20 ms. A dial refused at once is
+// retried after 1 ms, then 2, 4, … up to 50 ms; with a flat 50 ms sleep
+// after the first refusal this read 50 ms or more.
+func TestDialReachesLateListener(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // the port is free again: dials are refused until it reopens
+
+	start := time.Now()
+	opened := make(chan net.Listener, 1)
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Error(err)
+			close(opened)
+			return
+		}
+		opened <- l
+	}()
+	cl, err := Dial(addr, WithDialWait(2*time.Second))
+	took := time.Since(start)
+	if l, ok := <-opened; ok {
+		defer l.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if took > 20*time.Millisecond {
+		t.Fatalf("Dial took %v for a listener opened 5 ms in, want ≤ 20 ms", took)
+	}
+}

@@ -82,7 +82,8 @@ func unpointee(p *uint64) uint64 {
 
 // facadeLinearizable records histories on a small set of contended keys
 // through growt.Map — odd workers through a handle of their own, even ones
-// through the handle-free methods — and validates them with the
+// through the handle-free methods, and every other find of an odd worker
+// through Map.Load beside its handle — and validates them with the
 // Wing–Gong checker that internal/core applies to the raw word tables. m
 // must start tiny: every worker also inserts a stream of never-repeated
 // filler keys, so the core migrates many times while the contended keys
@@ -149,8 +150,12 @@ func facadeLinearizable[K comparable, V any](t *testing.T, m *growt.Map[K, V], c
 					i := r.Invoke(linearize.OpUpsert, ck, v)
 					r.Return(i, 0, h.InsertOrUpdate(k, val(v), growt.Replace[V]))
 				case 4:
+					find := h.Find
+					if n%2 == 0 {
+						find = m.Load
+					}
 					i := r.Invoke(linearize.OpFind, ck, 0)
-					out, ok := h.Find(k)
+					out, ok := find(k)
 					r.Return(i, c.unval(out), ok)
 				case 8:
 					i := r.Invoke(linearize.OpLoadAndDelete, ck, 0)
@@ -177,7 +182,9 @@ func facadeLinearizable[K comparable, V any](t *testing.T, m *growt.Map[K, V], c
 
 // TestFacadeLinearizable lifts the core's linearizability check one layer,
 // to growt.Map on both routes, from an 8-cell table: the plain history
-// under growth, the delete-heavy one under reclamation.
+// under growth, the delete-heavy one under reclamation. The usGrow and
+// psGrow runs check that a find, which never raises a busy flag, stays
+// linearizable across the synchronized strategies' migrations.
 func TestFacadeLinearizable(t *testing.T) {
 	word := wordCodec[uint64, uint64]{ident, ident, ident}
 	strKey := wordCodec[string, uint64]{decimal, ident, ident}
@@ -215,5 +222,13 @@ func TestFacadeLinearizable(t *testing.T) {
 		t.Run(name+"/generic-string-colliding", func(t *testing.T) {
 			facadeLinearizable(t, growt.New[string, uint64](growt.WithCapacity(8), colliding), strKey, heavy, heavy)
 		})
+		for _, s := range []growt.Strategy{growt.USGrow, growt.PSGrow} {
+			t.Run(name+"/word-"+s.String(), func(t *testing.T) {
+				facadeLinearizable(t, growt.New[uint64, uint64](growt.WithCapacity(8), growt.WithStrategy(s)), word, heavy, false)
+			})
+			t.Run(name+"/generic-string-"+s.String(), func(t *testing.T) {
+				facadeLinearizable(t, growt.New[string, uint64](growt.WithCapacity(8), growt.WithStrategy(s)), strKey, heavy, true)
+			})
+		}
 	}
 }

@@ -39,10 +39,22 @@ if [ "${GROWVET_ONLY:-}" = "1" ]; then
     exit 0
 fi
 
+# install fetches a pinned tool from the module proxy. Offline that fails
+# with a raw DNS or proxy error; say what it means instead, and still fail:
+# the gate stays blocking.
+install() {
+    if ! out=$(go install "$1" 2>&1); then
+        printf '%s\n' "$out" >&2
+        echo "lint.sh: could not install $1: the module proxy is unreachable (offline?)." >&2
+        echo "lint.sh: GROWVET_ONLY=1 ./scripts/lint.sh runs the growvet gate alone; staticcheck and govulncheck need the network." >&2
+        exit 1
+    fi
+}
+
 echo "==> staticcheck ($STATICCHECK_VERSION)"
-go install "honnef.co/go/tools/cmd/staticcheck@$STATICCHECK_VERSION"
+install "honnef.co/go/tools/cmd/staticcheck@$STATICCHECK_VERSION"
 staticcheck ./...
 
 echo "==> govulncheck ($GOVULNCHECK_VERSION)"
-go install "golang.org/x/vuln/cmd/govulncheck@$GOVULNCHECK_VERSION"
+install "golang.org/x/vuln/cmd/govulncheck@$GOVULNCHECK_VERSION"
 govulncheck ./...

@@ -43,13 +43,15 @@ import (
 // call Handle once per goroutine and use the handle's methods — fastest,
 // no synchronization beyond the table's own. And a handle-free,
 // sync.Map-shaped one: Load / Store / LoadOrStore / Compute / Delete on
-// the Map itself, which borrow an idle handle per call. Idle handles sit
-// in slots, a cache line each, strongly referenced: core handles register
-// state with the table (busy flags, size counters) that is never
-// deregistered, so they are recycled, not GC-churned. The sync.Pool holds
-// only hints (the slot a P last released into): one lost at a GC costs a
-// scan of the slots, not a handle. A borrow writes no shared word but its
-// slot's line (§5.1) and waits for nobody.
+// the Map itself. A find writes nothing (§4), so Load, like Handle.Find
+// and Session.Load, reads the table directly and borrows nothing, and so
+// does Range; every write borrows an idle handle for the call. Idle
+// handles sit in slots, a cache line each, strongly referenced: core
+// handles register state with the table (busy flags, size counters) that
+// is never deregistered, so they are recycled, not GC-churned. The
+// sync.Pool holds only hints (the slot a P last released into): one lost
+// at a GC costs a scan of the slots, not a handle. A borrow writes no
+// shared word but its slot's line (§5.1) and waits for nobody.
 type Map[K comparable, V any] struct {
 	b       backend[K, V]
 	replace func(cur, d V) V   // Replace[V], bound once: binding it in Store allocates
@@ -71,6 +73,7 @@ type handleSlot[K comparable, V any] struct {
 // one per goroutine with Map.Handle; never share one between goroutines.
 type Handle[K comparable, V any] struct {
 	h    backendHandle[K, V]
+	b    backend[K, V]     // the map's: a find needs no handle
 	slot *handleSlot[K, V] // of a pooled handle: the slot it is in, or goes back to
 	next *Handle[K, V]     // on the spare list
 }
@@ -78,6 +81,9 @@ type Handle[K comparable, V any] struct {
 // backend is the per-key-route engine behind a typed map.
 type backend[K comparable, V any] interface {
 	newHandle() backendHandle[K, V]
+	// find is the route's one lookup, shared by Map.Load, Handle.Find and
+	// Session.Load: a find writes nothing, so it needs no handle.
+	find(k K) (V, bool)
 	approxSize() uint64
 	// generation is the completed-migration count of the underlying
 	// growing core (0 for bounded backends).
@@ -90,17 +96,16 @@ type backend[K comparable, V any] interface {
 	rangeFrom(cur tables.Cursor, fn func(K, V) bool) (tables.Cursor, bool)
 }
 
-// backendHandle mirrors the five primitives of §4 on typed operands,
-// plus the atomic load-and-delete and compare-and-swap each backend
-// provides natively (a generic emulation via update would write the
-// unchanged value back on every mismatch: a boxed value per attempt on
-// the generic route, an arena slot per attempt for an escaped value on
-// the word route).
+// backendHandle mirrors the four writing primitives of §4 on typed
+// operands (find is the backend's), plus the atomic load-and-delete and
+// compare-and-swap each backend provides natively (a generic emulation
+// via update would write the unchanged value back on every mismatch: a
+// boxed value per attempt on the generic route, an arena slot per
+// attempt for an escaped value on the word route).
 type backendHandle[K comparable, V any] interface {
 	insert(k K, v V) bool
 	update(k K, d V, up func(cur, d V) V) bool
 	insertOrUpdate(k K, d V, up func(cur, d V) V) bool
-	find(k K) (V, bool)
 	del(k K) bool
 	loadAndDelete(k K) (V, bool)
 	compareAndSwap(k K, old, new V) bool
@@ -131,7 +136,7 @@ func New[K comparable, V any](opts ...Option) *Map[K, V] {
 
 // Handle returns a new goroutine-private accessor (§5.1).
 func (m *Map[K, V]) Handle() *Handle[K, V] {
-	return &Handle[K, V]{h: m.b.newHandle()}
+	return &Handle[K, V]{h: m.b.newHandle(), b: m.b}
 }
 
 // Close releases background resources if the map owns any (the dedicated
@@ -168,9 +173,11 @@ func (m *Map[K, V]) RangeFrom(cur Cursor, fn func(k K, v V) bool) (Cursor, bool)
 }
 
 // PoolBorrows counts how many times the handle-free methods borrowed a
-// pooled handle over the map's lifetime. It exists for tests asserting
-// pool discipline (a pinned Session performs exactly one borrow, not
-// one per operation).
+// pooled handle over the map's lifetime: one per write (Store,
+// LoadOrStore, Compute, Update, Delete and the conditional and loading
+// deletes), none per Load or Range. It exists for tests asserting pool
+// discipline (a pinned Session performs exactly one borrow, not one per
+// operation).
 func (m *Map[K, V]) PoolBorrows() (n uint64) {
 	for i := range m.slots {
 		n += m.slots[i].borrows.Load()
@@ -196,7 +203,7 @@ func (h *Handle[K, V]) InsertOrUpdate(k K, d V, up func(cur, d V) V) bool {
 }
 
 // Find returns a copy of the value stored at k.
-func (h *Handle[K, V]) Find(k K) (V, bool) { return h.h.find(k) }
+func (h *Handle[K, V]) Find(k K) (V, bool) { return h.b.find(k) }
 
 // Delete removes k; returns true iff k was present.
 func (h *Handle[K, V]) Delete(k K) bool { return h.h.del(k) }
@@ -292,12 +299,9 @@ func (m *Map[K, V]) release(h *Handle[K, V]) {
 	m.mu.Unlock()
 }
 
-// Load returns the value stored at k (handle-free).
-func (m *Map[K, V]) Load(k K) (V, bool) {
-	h := m.acquire()
-	defer m.release(h)
-	return h.h.find(k)
-}
+// Load returns the value stored at k (handle-free). It borrows nothing: a
+// find writes nothing.
+func (m *Map[K, V]) Load(k K) (V, bool) { return m.b.find(k) }
 
 // Store sets the value for k, inserting or overwriting (handle-free).
 func (m *Map[K, V]) Store(k K, v V) {
@@ -379,7 +383,7 @@ func (m *Map[K, V]) Update(k K, d V, up func(cur, d V) V) (updated bool) {
 
 // Session is its pinned Handle: it borrows one pooled handle at creation
 // and is that handle until Close — every Handle method is a Session
-// method — sparing each operation the handle-free methods' acquire and
+// method — sparing each write the handle-free methods' acquire and
 // release. On top it spells the four sync.Map-shaped names the Map has
 // and a Handle lacks. Like a Handle, a Session must not be used
 // concurrently — create one per goroutine (typically one per connection
@@ -477,6 +481,16 @@ type wordBackend[K comparable, V any] struct {
 
 func (b *wordBackend[K, V]) kenc(k K) uint64 { return toWord(k, b.kw) }
 
+//growt:hotpath
+func (b *wordBackend[K, V]) find(k K) (V, bool) {
+	w, ok := b.fk.Find(b.kenc(k))
+	if !ok {
+		var zv V
+		return zv, false
+	}
+	return b.vc.dec(w), true
+}
+
 func (b *wordBackend[K, V]) newHandle() backendHandle[K, V] {
 	h := &wordHandle[K, V]{b: b, h: b.fk.Handle()}
 	h.wrapped = h.applyUp
@@ -518,7 +532,7 @@ func (h *wordHandle[K, V]) insert(k K, v V) bool {
 	}
 	// Arena-bound value: probe first so a refused insert does not orphan
 	// a slot (racy probes only cost the orphan, never correctness).
-	if _, present := h.h.Find(kw); present {
+	if _, present := h.b.fk.Find(kw); present {
 		return false
 	}
 	return h.h.Insert(kw, h.b.vc.enc(v))
@@ -542,15 +556,6 @@ func (h *wordHandle[K, V]) insertOrUpdate(k K, d V, up func(cur, d V) V) bool {
 		return false
 	}
 	return h.h.InsertOrUpdate(kw, h.b.vc.enc(d), h.wrapped)
-}
-
-func (h *wordHandle[K, V]) find(k K) (V, bool) {
-	w, ok := h.h.Find(h.b.kenc(k))
-	if !ok {
-		var zv V
-		return zv, false
-	}
-	return h.b.vc.dec(w), true
 }
 
 func (h *wordHandle[K, V]) del(k K) bool { return h.h.Delete(h.b.kenc(k)) }
@@ -598,7 +603,7 @@ func (h *wordHandle[K, V]) compareAndDelete(k K, old V) bool {
 	// tables.CompareAndDeleter (conditional tombstoning CAS).
 	cd := h.h.(tables.CompareAndDeleter)
 	for {
-		w, ok := h.h.Find(kw)
+		w, ok := h.b.fk.Find(kw)
 		if !ok || any(h.b.vc.dec(w)) != any(old) {
 			return false
 		}
@@ -802,23 +807,18 @@ func (b *genericBackend[K, V]) giveBack(ref uint64) {
 	}
 }
 
-type genericHandle[K comparable, V any] struct {
-	b *genericBackend[K, V]
-	h tables.Handle
-}
-
 // findEntry walks the collision chain of k's hash for a live entry
 // carrying k; nil if there is none. head is the chain it walked, for the
 // caller that goes on to kill the entry (see reap).
 //
 //growt:hotpath
-func (h *genericHandle[K, V]) findEntry(hash uint64, k K) (e *entry[K, V], head uint64) {
-	head, ok := h.h.Find(hash)
+func (b *genericBackend[K, V]) findEntry(hash uint64, k K) (e *entry[K, V], head uint64) {
+	head, ok := b.fk.Find(hash)
 	if !ok {
 		return nil, 0
 	}
 	for ref := head; ref != 0 && ref != sealed; ref = e.next.Load() {
-		if e = h.b.ar.get(ref); e == nil {
+		if e = b.ar.get(ref); e == nil {
 			break // the chain was dropped under us
 		}
 		if e.key == k && e.load() != nil {
@@ -826,6 +826,21 @@ func (h *genericHandle[K, V]) findEntry(hash uint64, k K) (e *entry[K, V], head 
 		}
 	}
 	return nil, head
+}
+
+//growt:hotpath
+func (b *genericBackend[K, V]) find(k K) (v V, ok bool) {
+	if e, _ := b.findEntry(b.hash(k), k); e != nil {
+		if p := e.load(); p != nil {
+			return b.unwrap(p), true
+		}
+	}
+	return
+}
+
+type genericHandle[K comparable, V any] struct {
+	b *genericBackend[K, V]
+	h tables.Handle
 }
 
 // upsert is the shared insert / insert-or-update machinery. With up==nil
@@ -840,7 +855,7 @@ func (h *genericHandle[K, V]) upsert(k K, d V, up func(cur, d V) V) bool {
 	ref := uint64(0) // entry built for ⟨k,d⟩, until linked or given back
 retry:
 	for {
-		head, ok := h.h.Find(hash)
+		head, ok := b.fk.Find(hash)
 		if !ok {
 			if ref == 0 {
 				ref = b.newEntry(k, d)
@@ -941,7 +956,7 @@ func (h *genericHandle[K, V]) insertOrUpdate(k K, d V, up func(cur, d V) V) bool
 }
 
 func (h *genericHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
-	e, _ := h.findEntry(h.b.hash(k), k)
+	e, _ := h.b.findEntry(h.b.hash(k), k)
 	if e == nil {
 		return false
 	}
@@ -956,16 +971,6 @@ func (h *genericHandle[K, V]) update(k K, d V, up func(cur, d V) V) bool {
 	}
 }
 
-//growt:hotpath
-func (h *genericHandle[K, V]) find(k K) (v V, ok bool) {
-	if e, _ := h.findEntry(h.b.hash(k), k); e != nil {
-		if p := e.load(); p != nil {
-			return h.b.unwrap(p), true
-		}
-	}
-	return
-}
-
 func (h *genericHandle[K, V]) del(k K) bool {
 	_, ok := h.loadAndDelete(k)
 	return ok
@@ -974,7 +979,7 @@ func (h *genericHandle[K, V]) del(k K) bool {
 // compareAndSwap CASes the entry's value word directly: a refused call
 // performs no write and allocates nothing.
 func (h *genericHandle[K, V]) compareAndSwap(k K, old, new V) bool {
-	e, _ := h.findEntry(h.b.hash(k), k)
+	e, _ := h.b.findEntry(h.b.hash(k), k)
 	if e == nil {
 		return false
 	}
@@ -995,7 +1000,7 @@ func (h *genericHandle[K, V]) compareAndSwap(k K, old, new V) bool {
 // that was its last live entry.
 func (h *genericHandle[K, V]) kill(k K, match func(V) bool) (v V, ok bool) {
 	hash := h.b.hash(k)
-	if e, head := h.findEntry(hash, k); e != nil {
+	if e, head := h.b.findEntry(hash, k); e != nil {
 		for p := e.load(); p != nil && (match == nil || match(h.b.unwrap(p))); p = e.load() {
 			if e.cas(p, nil) {
 				h.b.size.Add(-1)

@@ -872,7 +872,8 @@ func TestPointerValues(t *testing.T) {
 // nothing for a Load and the boxed value for a Store, unless the value is
 // a pointer, which is stored as it is; on the word route (inline values)
 // nothing at all — neither the handle-free hop nor the typed-to-word
-// update wrapper may cost an allocation.
+// update wrapper may cost an allocation. A Map.Load borrows no handle
+// either, on either route.
 func TestFacadeAllocs(t *testing.T) {
 	g := growt.New[string, string]()
 	defer g.Close()
@@ -888,25 +889,36 @@ func TestFacadeAllocs(t *testing.T) {
 	defer w.Close()
 	w.Store(7, 1)
 	wh := w.Handle()
+	type borrower interface{ PoolBorrows() uint64 }
 	for _, c := range []struct {
 		name string
 		want float64
 		op   func()
+		m    borrower // a Load's map, which must see no borrow
 	}{
-		{"generic Map.Load", 0, func() { g.Load("key") }},
-		{"generic Map.Store", 1, func() { g.Store("key", "v1") }},
-		{"pointer-valued Map.Load", 0, func() { gp.Load("key") }},
-		{"pointer-valued Map.Store", 0, func() { gp.Store("key", p1) }},
-		{"integer-key wide-value Map.Load", 0, func() { iw.Load(7) }},
-		{"integer-key wide-value Map.Store", 1, func() { iw.Store(7, "v1") }},
-		{"word Map.Load", 0, func() { w.Load(7) }},
-		{"word Map.Store", 0, func() { w.Store(7, 2) }},
-		{"word Map.Compute", 0, func() { w.Compute(7, 1, growt.Add[uint64]) }},
-		{"word Handle.InsertOrUpdate", 0, func() { wh.InsertOrUpdate(7, 1, growt.Add[uint64]) }},
-		{"word Handle.Update", 0, func() { wh.Update(7, 1, growt.Add[uint64]) }},
+		{"generic Map.Load", 0, func() { g.Load("key") }, g},
+		{"generic Map.Store", 1, func() { g.Store("key", "v1") }, nil},
+		{"pointer-valued Map.Load", 0, func() { gp.Load("key") }, gp},
+		{"pointer-valued Map.Store", 0, func() { gp.Store("key", p1) }, nil},
+		{"integer-key wide-value Map.Load", 0, func() { iw.Load(7) }, iw},
+		{"integer-key wide-value Map.Store", 1, func() { iw.Store(7, "v1") }, nil},
+		{"word Map.Load", 0, func() { w.Load(7) }, w},
+		{"word Map.Store", 0, func() { w.Store(7, 2) }, nil},
+		{"word Map.Compute", 0, func() { w.Compute(7, 1, growt.Add[uint64]) }, nil},
+		{"word Handle.InsertOrUpdate", 0, func() { wh.InsertOrUpdate(7, 1, growt.Add[uint64]) }, nil},
+		{"word Handle.Update", 0, func() { wh.Update(7, 1, growt.Add[uint64]) }, nil},
 	} {
+		var borrows uint64
+		if c.m != nil {
+			borrows = c.m.PoolBorrows()
+		}
 		if got := testing.AllocsPerRun(1000, c.op); got != c.want {
 			t.Errorf("%s: %v allocs/op, want %v", c.name, got, c.want)
+		}
+		if c.m != nil {
+			if got := c.m.PoolBorrows() - borrows; got != 0 {
+				t.Errorf("%s: %d pool borrows in 1001 calls, want 0", c.name, got)
+			}
 		}
 	}
 }
