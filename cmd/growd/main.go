@@ -65,7 +65,7 @@ func main() {
 		slowOp    = flag.Duration("slow-op", 0, "slow-op log latency threshold (0 = server default 1ms, negative = disabled)")
 
 		defaultTTL = flag.Duration("default-ttl", 0, "TTL applied to SET/MSET entries (0 = immortal; SETEX always wins)")
-		maxEntries = flag.Uint64("max-entries", 0, "entry budget; beyond it writes evict sampled-LRU entries (0 = unbounded)")
+		maxEntries = flag.Uint64("max-entries", 0, "entry budget; beyond it writes evict the oldest entries not read since the eviction hand last passed them (CLOCK/SIEVE; 0 = unbounded)")
 		sweepEvery = flag.Duration("sweep-interval", 0, "background expiry sweep tick (0 = default 1s, negative = lazy expiry only)")
 	)
 	flag.Parse()

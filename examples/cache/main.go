@@ -1,16 +1,17 @@
 // Caching: the canonical "many scenarios" workload of the ROADMAP north
 // star. This example wraps the typed map in the internal/cache facade —
-// per-entry TTL plus a bounded-memory sampled-LRU budget — and runs a
-// skewed read-through workload against a slow "origin" (a simulated
-// backend lookup). The cache layer adds no locks: expiry tombstoning
-// and eviction are element-wise CompareAndDelete races on the same core
-// the paper benchmarks.
+// per-entry TTL plus a bounded-memory budget held by CLOCK eviction with
+// SIEVE's visited mark — and runs a skewed read-through workload against
+// a slow "origin" (a simulated backend lookup). The cache layer adds no
+// locks: expiry tombstoning and eviction are element-wise
+// CompareAndDelete races on the same core the paper benchmarks.
 //
 // Watch three things in the output:
 //
 //   - the hit-rate climbing as the hot keys settle into the cache;
 //   - the entry count holding at the budget while the key universe is
-//     10× larger (sampled LRU keeps the hot set, evicts the cold tail);
+//     10× larger (a key read since the eviction hand last passed it
+//     stays, so the hot set is kept and the cold tail evicted);
 //   - expired counts ticking up as TTLs lapse and the sweeper collects.
 //
 // The budget bounds memory as well as entries: under uint64 keys as under

@@ -6,7 +6,7 @@
 // prove safe under concurrent updates, deletions, and migrations.
 //
 // Entries wrap values with an expiry deadline (and, in a budgeted cache,
-// a last-access clock). Expiry is enforced twice over:
+// a visited mark and the key). Expiry is enforced twice over:
 //
 //   - lazily on read: a Get that finds an expired entry atomically
 //     tombstones it via CompareAndDelete and reports a miss — an expired
@@ -21,17 +21,19 @@
 //     live front (mixed TTLs) are reached too and a full cycle over n
 //     entries does O(n) callback work.
 //
-// Bounded memory is Redis-style sampled approximate-LRU: writes record
-// the item they stored in a lock-free sample ring; when ApproxSize
-// exceeds the configured entry budget, the writer samples a handful of
-// ring slots, reads each candidate's deadline and access clock from the
-// item itself, and CompareAndDeletes the least-recently-accessed live
-// one — the only map operation an eviction makes. A candidate that was
+// Bounded memory is CLOCK under SIEVE's rule (Zhang et al., "SIEVE is
+// Simpler than LRU", NSDI 2024): writes queue the item they stored at the
+// tail of a lock-free ring, and a hit marks its item visited — once; a
+// hot key's later hits read the mark and write nothing. When ApproxSize
+// exceeds the configured entry budget, the writer advances the ring's
+// hand, taking each slot's item out of the ring: a visited item loses its
+// mark and is queued again at the tail, and the first unvisited live one
+// is CompareAndDeleted — the only map operation an eviction makes. So
+// entries that nobody reads leave in write order. A victim that was
 // concurrently overwritten survives (the conditional delete sees a
-// different item), so eviction can never lose a fresh write. Eviction
-// clears the slot of every item it removed or found stale; an item that
-// a read or the sweeper collected is marked gone instead, and the
-// sampler clears its slot without asking the map.
+// different item), so eviction can never lose a fresh write. An item
+// that a read or the sweeper collected is marked gone, and the hand
+// drops it without asking the map.
 //
 // Two access disciplines are offered, mirroring the typed map's, over
 // one operation set: every operation is written once, as a method of
@@ -69,25 +71,32 @@
 // everything back — value and key to the GC, hash cell to the core's
 // next cleanup migration, chain entry to an arena page released when all
 // its entries are — so memory follows the budget however many keys pass
-// through. An unbudgeted cache's item is its value and deadline alone (a
-// string item is 24 B). A budgeted cache's item also carries its access
-// clock and its key, so that the sample ring can hold items, not copies
-// of keys: 24 B more for a string key (a string item in the 48 B size
-// class). The ring keeps the items it holds reachable, values included,
-// until their slots are overwritten or cleared. It has the budget rounded
-// up to a power of two slots, so a budgeted cache keeps at most twice its
-// budget of dead or replaced items reachable beyond its live entries. A
-// sweep tick visits at most 16 batches of entries at the front, where it
-// stops at the first batch of live ones, plus one batch behind its
-// cursor; a cursor invalidated by a table migration restarts from the
-// front, so a cycle spanning a migration may re-visit entries (never
-// skip stable ones). The eviction sample ring covers min(budget rounded up, 2^22)
-// recent writes — budgets beyond that get window-LRU over the newest
-// writes.
+// through; and since the hand evicts unread entries in write order, they
+// leave the arena's pages in the order they filled them. An unbudgeted
+// cache's item is its value and deadline alone (a string item is 24 B).
+// A budgeted cache's item also carries its visited mark and its key, so
+// that the ring can hold items, not copies of keys: 24 B more for a
+// string key (a string item in the 48 B size class). The ring keeps the
+// items between its hand and its tail reachable, values included, until
+// the hand takes them. It has the budget rounded up to a power of two
+// slots, so a budgeted cache keeps fewer than twice its budget of items
+// reachable, live entries included. An overwrite, a delete or an expiry
+// leaves its old item in the ring until the hand reaches it. The hand
+// moves while the cache is over its budget, and when a write finds the
+// ring full: under the budget it then queues the live entries it meets
+// again and drops the first item that is no entry, so every entry stays
+// a candidate however the ring fills. The ring is clamped at 2^22 slots,
+// so a budget beyond that holds about 2^22 entries. A sweep
+// tick visits at most 16 batches of entries at the front, where it stops
+// at the first batch of live ones, plus one batch behind its cursor; a
+// cursor invalidated by a table migration restarts from the front, so a
+// cycle spanning a migration may re-visit entries (never skip stable
+// ones).
 package cache
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,7 +104,6 @@ import (
 
 	growt "repro"
 	"repro/internal/obs/trace"
-	"repro/internal/rng"
 )
 
 const (
@@ -110,21 +118,24 @@ const (
 	// frontReach caps the front pass at frontReach batches of visits, so
 	// a tick stays bounded however much expired at once.
 	frontReach = 16
-	// evictSamples is the Redis-style sample width: candidates examined
-	// per eviction decision.
-	evictSamples = 5
 	// maxEvictPerWrite bounds how many evictions one write performs when
 	// the cache is over budget, so no single SET stalls on a long purge.
 	maxEvictPerWrite = 8
-	// minRing/maxRing clamp the eviction sample ring (slots, power of 2),
-	// which is the entry budget rounded up. The ring must cover the
-	// budget or eviction degrades toward approximate-MRU: keys whose slots
-	// were overwritten become invisible to sampling, leaving only recent
-	// writes evictable. It must not be much larger either, since it keeps
-	// the items it holds reachable. Two slots at least, so a write's own
-	// item is not the only candidate. 2^22 slots (32 MiB of pointers)
-	// covers budgets up to ~4M entries; larger budgets get ring-window LRU
-	// over the newest 4M writes.
+	// evictWalk bounds the slots one eviction attempt takes from the
+	// ring, so enforcing the budget examines at most
+	// maxEvictPerWrite·evictWalk = 256 slots per write, less than a lap
+	// of any ring of 256 slots or more; a write that meets a run of
+	// visited items leaves the rest of the walk to the next write. A
+	// write that finds the ring full walks about as many again to make
+	// room.
+	evictWalk = 32
+	// minRing/maxRing clamp the eviction ring (slots, power of 2), which
+	// is the entry budget rounded up: every entry's item is queued, and
+	// what room is left holds items that stopped being entries
+	// (overwritten, deleted or expired) until the hand drops them. It
+	// must not be much larger, since it keeps the items it holds
+	// reachable. 2^22 slots (32 MiB of pointers) cover budgets up to ~4M
+	// entries.
 	minRing = 2
 	maxRing = 1 << 22
 )
@@ -138,24 +149,29 @@ type item[V any] struct {
 	expiry int64 // unix nanos; 0 = immortal
 }
 
-// keyed is how a budgeted cache allocates an item: with the access clock
-// driving sampled LRU and the key beside it. The map stores &kd.item and
-// the sample ring holds kd, so eviction can name the entry it picked
-// without asking the map for it. An unbudgeted cache allocates bare
-// items, which nothing may take for keyed (see keyedOf).
+// keyed is how a budgeted cache allocates an item: with the state the
+// eviction hand reads and the key beside it. The map stores &kd.item and
+// the ring holds kd, so eviction can name the entry it picked without
+// asking the map for it. An unbudgeted cache allocates bare items, which
+// nothing may take for keyed (see keyedOf).
 type keyed[K comparable, V any] struct {
 	item[V]
-	access atomic.Int64 // unix nanos of the last touch, or gone
-	key    K
+	state atomic.Uint32 // fresh, visited or gone
+	key   K
 }
 
-// gone is the access clock of an item collected by collect, whose
-// callers do not know its ring slot. An item pointer is stored once, so
-// such an item is never the entry again: the sampler skips it and clears
-// its slot. Any other item that stopped being the entry stays in the
-// ring until the sampler picks it, its conditional delete is refused,
-// and its slot is cleared.
-const gone = math.MinInt64
+// The states of a keyed item. A hit turns fresh into visited, and the
+// hand turns visited back into fresh as it queues the item again. gone
+// is an item collected by collect, whose callers do not know its ring
+// slot. An item pointer is stored once, so such an item is never the
+// entry again: the hand drops it. Any other item that stopped being the
+// entry stays in the ring until the hand reaches it and its conditional
+// delete is refused.
+const (
+	fresh uint32 = iota
+	visited
+	gone
+)
 
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
@@ -186,14 +202,17 @@ type Cache[K comparable, V any] struct {
 
 	now func() int64 // clock, unix nanos; swappable for deterministic tests
 
-	// ring is the eviction sample pool: a lock-free buffer of recently
-	// stored items that evictOne samples uniformly, clearing the slots of
-	// items that are gone or no longer the entry. nil when unbounded.
+	// ring is the eviction queue: a lock-free buffer of stored items in
+	// the order they were queued. ringPos counts the slots reserved (the
+	// tail) and hand the slots taken by evictOne, which clears each slot
+	// it takes. The tail never laps the hand, and the hand never passes
+	// a slot whose writer has not stored its item, so each queued item
+	// is taken exactly once. nil when unbounded.
 	//growt:atomic
 	ring     []atomic.Pointer[keyed[K, V]]
 	ringMask uint64
 	ringPos  atomic.Uint64
-	seed     atomic.Uint64 // sampling stream selector
+	hand     atomic.Uint64
 
 	// sweepCur is the resumable position the next sweep tick continues
 	// from; sweepMu serializes concurrent SweepOnce callers so the
@@ -201,8 +220,7 @@ type Cache[K comparable, V any] struct {
 	sweepMu  sync.Mutex
 	sweepCur growt.Cursor
 
-	stop      chan struct{}
-	sweepDone chan struct{}
+	stop, sweepDone chan struct{}
 
 	hits, misses, expired, evicted, sweeps atomic.Uint64
 
@@ -234,7 +252,6 @@ func newCache[K comparable, V any](now func() int64, opts ...growt.Option) *Cach
 		}
 		c.ring = make([]atomic.Pointer[keyed[K, V]], size)
 		c.ringMask = size - 1
-		c.seed.Store(0x9E3779B97F4A7C15)
 	}
 	if c.set.SweepInterval >= 0 {
 		every := c.set.SweepInterval
@@ -302,15 +319,13 @@ func dead[V any](it *item[V], now int64) bool {
 	return it.expiry != 0 && now >= it.expiry
 }
 
-// newItem builds a fresh entry for k: keyed, with its access clock
-// primed, in a budgeted cache, bare otherwise.
-func (c *Cache[K, V]) newItem(k K, v V, now, expiry int64) *item[V] {
+// newItem builds a fresh entry for k: keyed in a budgeted cache, bare
+// otherwise.
+func (c *Cache[K, V]) newItem(k K, v V, expiry int64) *item[V] {
 	if c.ring == nil {
 		return &item[V]{val: v, expiry: expiry}
 	}
-	kd := &keyed[K, V]{item: item[V]{val: v, expiry: expiry}, key: k}
-	kd.access.Store(now)
-	return &kd.item
+	return &(&keyed[K, V]{item: item[V]{val: v, expiry: expiry}, key: k}).item
 }
 
 // keyedOf is the keyed allocation that it starts. Only for items of a
@@ -319,11 +334,12 @@ func (c *Cache[K, V]) keyedOf(it *item[V]) *keyed[K, V] {
 	return (*keyed[K, V])(unsafe.Pointer(it))
 }
 
-// touch sets the access clock of it to at, in a budgeted cache: nothing
-// else has one.
-func (c *Cache[K, V]) touch(it *item[V], at int64) {
-	if c.ring != nil {
-		c.keyedOf(it).access.Store(at)
+// touch marks a hit on it visited, in a budgeted cache: nothing else has
+// a mark. Only a fresh item is written, so of a hot key's hits only the
+// first after each pass of the hand writes.
+func (c *Cache[K, V]) touch(it *item[V]) {
+	if c.ring != nil && c.keyedOf(it).state.Load() == fresh {
+		c.keyedOf(it).state.CompareAndSwap(fresh, visited)
 	}
 }
 
@@ -351,10 +367,7 @@ type ops[K comparable, V any] struct {
 // as absent and is collected in passing — the lazy half of expiry.
 func (o *ops[K, V]) live(k K, now int64) *item[V] {
 	it, ok := o.v.Load(k)
-	if !ok {
-		return nil
-	}
-	if dead(it, now) {
+	if ok && dead(it, now) {
 		o.collect(k, it)
 		return nil
 	}
@@ -367,7 +380,9 @@ func (o *ops[K, V]) live(k K, now int64) *item[V] {
 // survives untouched. Either way it is no longer the entry: it is gone.
 func (o *ops[K, V]) collect(k K, it *item[V]) bool {
 	ok := o.v.CompareAndDelete(k, it)
-	o.c.touch(it, gone)
+	if o.c.ring != nil {
+		o.c.keyedOf(it).state.Store(gone)
+	}
 	if ok {
 		o.c.countExpired()
 	}
@@ -377,13 +392,12 @@ func (o *ops[K, V]) collect(k K, it *item[V]) bool {
 // Get returns the live value at k. An expired entry is never returned:
 // it reads as a miss and is collected in passing.
 func (o *ops[K, V]) Get(k K) (v V, ok bool) {
-	now := o.c.now()
-	it := o.live(k, now)
+	it := o.live(k, o.c.now())
 	if it == nil {
 		o.c.countMiss()
 		return v, false
 	}
-	o.c.touch(it, now)
+	o.c.touch(it)
 	o.c.countHit()
 	return it.val, true
 }
@@ -396,9 +410,7 @@ func (o *ops[K, V]) Set(k K, v V) { o.SetTTL(k, v, o.c.set.TTL) }
 // immortal), replacing any previous entry and deadline.
 func (o *ops[K, V]) SetTTL(k K, v V, ttl time.Duration) {
 	now := o.c.now()
-	it := o.c.newItem(k, v, now, deadline(now, ttl))
-	o.v.Store(k, it)
-	o.noteWrite(it, now)
+	o.store(k, o.c.newItem(k, v, deadline(now, ttl)), now)
 }
 
 // SetExpiry stores ⟨k,v⟩ with an absolute expiry deadline (zero =
@@ -406,9 +418,10 @@ func (o *ops[K, V]) SetTTL(k K, v V, ttl time.Duration) {
 // an upstream's Expires header. at is unix nanoseconds on the cache's
 // clock; a deadline already in the past stores an entry that is born
 // expired (never observable).
-func (o *ops[K, V]) SetExpiry(k K, v V, at int64) {
-	now := o.c.now()
-	it := o.c.newItem(k, v, now, at)
+func (o *ops[K, V]) SetExpiry(k K, v V, at int64) { o.store(k, o.c.newItem(k, v, at), o.c.now()) }
+
+// store stores it at k and queues it, as of now.
+func (o *ops[K, V]) store(k K, it *item[V], now int64) {
 	o.v.Store(k, it)
 	o.noteWrite(it, now)
 }
@@ -422,19 +435,19 @@ func (o *ops[K, V]) SetExpiry(k K, v V, at int64) {
 // invocation.
 func (o *ops[K, V]) Compute(k K, d V, up func(cur, d V) V) bool {
 	now := o.c.now()
-	fresh := o.c.newItem(k, d, now, deadline(now, o.c.set.TTL))
+	ins := o.c.newItem(k, d, deadline(now, o.c.set.TTL))
 	revived := false
-	next := fresh // the item the applied invocation stored
-	inserted := o.v.Compute(k, fresh, func(cur, _ *item[V]) *item[V] {
+	next := ins // the item the applied invocation stored
+	inserted := o.v.Compute(k, ins, func(cur, _ *item[V]) *item[V] {
 		if revived = dead(cur, now); revived {
-			next = fresh
+			next = ins
 		} else {
-			next = o.c.newItem(k, up(cur.val, d), now, cur.expiry)
+			next = o.c.newItem(k, up(cur.val, d), cur.expiry)
 		}
 		return next
 	})
 	if inserted {
-		next = fresh
+		next = ins
 	}
 	o.noteWrite(next, now)
 	return inserted || revived
@@ -456,7 +469,7 @@ func (o *ops[K, V]) CompareAndSwap(k K, old, new V) (swapped, found bool) {
 		if any(it.val) != any(old) {
 			return false, true
 		}
-		if nw := o.c.newItem(k, new, now, it.expiry); o.v.CompareAndSwap(k, it, nw) {
+		if nw := o.c.newItem(k, new, it.expiry); o.v.CompareAndSwap(k, it, nw) {
 			o.noteWrite(nw, now)
 			return true, true
 		}
@@ -495,7 +508,7 @@ func (o *ops[K, V]) Expire(k K, ttl time.Duration) bool {
 		if it == nil {
 			return false
 		}
-		if nw := o.c.newItem(k, it.val, now, deadline(now, ttl)); o.v.CompareAndSwap(k, it, nw) {
+		if nw := o.c.newItem(k, it.val, deadline(now, ttl)); o.v.CompareAndSwap(k, it, nw) {
 			o.noteWrite(nw, now)
 			return true
 		}
@@ -520,14 +533,11 @@ func (o *ops[K, V]) TTL(k K) (d time.Duration, ok bool) {
 // Delete removes k; true iff a live (non-expired) entry was removed.
 func (o *ops[K, V]) Delete(k K) bool {
 	it, ok := o.v.LoadAndDelete(k)
-	if !ok {
-		return false
-	}
-	if dead(it, o.c.now()) {
+	if ok && dead(it, o.c.now()) {
 		o.c.countExpired()
 		return false
 	}
-	return true
+	return ok
 }
 
 // Len is the number of stored entries (live + not-yet-collected
@@ -540,33 +550,50 @@ func (o *ops[K, V]) Len() uint64 { return o.c.m.ApproxSize() }
 // in this repository it is for quiescent use only.
 func (c *Cache[K, V]) Range(fn func(k K, v V) bool) {
 	now := c.now()
-	c.m.Range(func(k K, it *item[V]) bool {
-		if dead(it, now) {
-			return true
-		}
-		return fn(k, it.val)
-	})
+	c.m.Range(func(k K, it *item[V]) bool { return dead(it, now) || fn(k, it.val) })
 }
 
 // ---------------------------------------------------------------------
-// Eviction: Redis-style sampled approximate LRU.
+// Eviction: CLOCK with SIEVE's visited mark over the ring.
 
-// noteWrite records the item a write stored in the sample ring and
+// noteWrite queues the item a write stored at the ring's tail and
 // enforces the entry budget. Called after every write that stores an
-// item.
+// item. A full ring first passes its hand over its oldest slots: under
+// the budget the hand queues the live entries it meets again and drops
+// the first item that stopped being an entry; after maxEvictPerWrite
+// walks that found none, it evicts as over the budget.
 func (o *ops[K, V]) noteWrite(it *item[V], now int64) {
-	c := o.c
-	if c.ring == nil {
-		return
+	if c := o.c; c.ring != nil {
+		for tries, kd := 0, c.keyedOf(it); !c.put(kd); tries++ {
+			o.evictOne(now, tries < maxEvictPerWrite && o.Len() <= c.set.MaxEntries)
+		}
+		o.enforceBudget(now)
 	}
-	c.ring[c.ringPos.Add(1)&c.ringMask].Store(c.keyedOf(it))
-	o.enforceBudget(now)
 }
 
-// enforceBudget evicts sampled-LRU entries while the cache is over its
-// entry budget, bounded per call so a single write never stalls on a
-// long purge (the sweeper keeps enforcing in the background). Only a
-// write that had to evict more than one entry is traced, as a storm.
+// put queues kd at the ring's tail, or reports a full ring. A slot is
+// reserved only once the hand has taken out and cleared the item a lap
+// before, so the hand never meets a stale item.
+func (c *Cache[K, V]) put(kd *keyed[K, V]) bool {
+	for {
+		h, t := c.hand.Load(), c.ringPos.Load()
+		s := &c.ring[t&c.ringMask]
+		switch {
+		case t-h > c.ringMask:
+			return false
+		case s.Load() != nil && c.ringPos.Load() == t:
+			runtime.Gosched() // the hand has passed the slot but not cleared it yet
+		case s.Load() == nil && c.ringPos.CompareAndSwap(t, t+1):
+			s.Store(kd)
+			return true
+		}
+	}
+}
+
+// enforceBudget evicts entries while the cache is over its entry budget,
+// bounded per call so a single write never stalls on a long purge (the
+// sweeper keeps enforcing in the background). Only a write that had to
+// evict more than one entry is traced, as a storm.
 func (o *ops[K, V]) enforceBudget(now int64) {
 	max := o.c.set.MaxEntries
 	if max == 0 {
@@ -574,7 +601,7 @@ func (o *ops[K, V]) enforceBudget(now int64) {
 	}
 	var evicted uint64
 	for tries := 0; tries < maxEvictPerWrite && o.Len() > max; tries++ {
-		if o.evictOne(now) {
+		if o.evictOne(now, false) {
 			evicted++
 		}
 	}
@@ -583,59 +610,56 @@ func (o *ops[K, V]) enforceBudget(now int64) {
 	}
 }
 
-// evictOne samples evictSamples live items from the ring and removes
-// the least-recently-accessed one (an expired item is collected on
-// sight, which also counts as progress). It reads the candidates
-// themselves and asks the map nothing until its one conditional delete,
-// which makes the decision safe: a candidate overwritten or removed since
-// it was stored is not the entry any more and is refused. Either way the
-// victim's slot is cleared, as is that of a collected candidate, so the
-// ring does not keep them reachable. Returns true if an entry was
+// evictOne advances the hand, taking each slot's item out of the ring,
+// until it has removed or dropped one or taken evictWalk slots. It stops
+// at a slot whose writer has not stored its item yet. A gone item is
+// dropped; a visited one loses its mark and is queued again at the
+// tail; an expired one is collected, which also counts as progress; any
+// other is conditionally deleted, the one map call of an eviction. The
+// decision reads only the item, and the conditional delete makes it
+// safe: an item overwritten or removed since it was queued is not the
+// entry any more and is refused. With keep (a write making room in a
+// full ring under the budget) that last item is looked up instead:
+// queued again if it is still the entry, dropped if not. An item the
+// ring has no room to queue again is treated as unvisited, so an entry
+// leaves the ring only by leaving the map. Returns true if an entry was
 // removed.
-func (o *ops[K, V]) evictOne(now int64) bool {
+func (o *ops[K, V]) evictOne(now int64, keep bool) bool {
 	c := o.c
-	// Seeds advance by 1, NOT by splitmix's own golden-ratio increment:
-	// a gamma-stride seed would make call n+1's probe sequence call n's
-	// shifted by one, so every eviction re-probes the same slots. Unit
-	// strides land on disjoint splitmix inputs and decorrelate fully.
-	r := rng.MakeSplitMix64(c.seed.Add(1))
-	var best *keyed[K, V]
-	var bestSlot *atomic.Pointer[keyed[K, V]]
-	var bestAt int64
-	sampled := 0
-	for probe := 0; probe < 4*evictSamples && sampled < evictSamples; probe++ {
-		slot := &c.ring[r.Uint64()&c.ringMask]
-		it := slot.Load()
-		if it == nil {
+	for walked := 0; walked < evictWalk; {
+		h, t := c.hand.Load(), c.ringPos.Load()
+		s := &c.ring[h&c.ringMask]
+		kd := s.Load()
+		if h == t || kd == nil && c.hand.Load() == h {
+			runtime.Gosched() // an empty ring, or its oldest item is not stored yet
+			return false
+		}
+		if kd == nil || !c.hand.CompareAndSwap(h, h+1) {
 			continue
 		}
-		at := it.access.Load()
-		if at == gone {
-			slot.CompareAndSwap(it, nil)
-			continue
-		}
-		if dead(&it.item, now) {
-			ok := o.collect(it.key, &it.item)
-			slot.CompareAndSwap(it, nil)
-			if ok {
-				return true
+		s.Store(nil)
+		walked++
+		switch {
+		case kd.state.Load() == gone:
+		case dead(&kd.item, now):
+			return o.collect(kd.key, &kd.item)
+		case kd.state.CompareAndSwap(visited, fresh) && c.put(kd):
+		case keep:
+			if cur, _ := o.v.Load(kd.key); cur != &kd.item {
+				return false
+			} else if c.put(kd) {
+				continue
 			}
-			continue
+			fallthrough
+		default:
+			ok := o.v.CompareAndDelete(kd.key, &kd.item)
+			if ok {
+				c.countEvicted()
+			}
+			return ok
 		}
-		sampled++
-		if best == nil || at < bestAt {
-			best, bestSlot, bestAt = it, slot, at
-		}
 	}
-	if best == nil {
-		return false
-	}
-	ok := o.v.CompareAndDelete(best.key, &best.item)
-	bestSlot.CompareAndSwap(best, nil)
-	if ok {
-		c.countEvicted()
-	}
-	return ok
+	return false
 }
 
 // ---------------------------------------------------------------------

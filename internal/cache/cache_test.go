@@ -9,6 +9,7 @@ import (
 	"time"
 
 	growt "repro"
+	"repro/internal/obs"
 )
 
 // fakeClock is the injectable deterministic clock: tests advance it and
@@ -384,15 +385,14 @@ func TestEvictionBudget(t *testing.T) {
 	holdsBudgetPreferringHot(t, clk, c, budget, 0)
 }
 
-// TestEvictionBudgetStaleRing is TestEvictionBudget over a sample ring
-// half of whose items are no longer entries. The ring has the budget's
-// slots; it ends up holding the first and the second item of each key
-// in budget/2..budget-1, the first overwritten (even keys) or deleted
-// before the key was written again (odd keys). Keys 0..budget/2-1 were
-// written before that and fill the budget from outside the ring.
+// TestEvictionBudgetStaleRing is TestEvictionBudget after each key in
+// budget/2..budget-1 was written again under the budget, overwritten
+// (even keys) or deleted first (odd keys). The ring has the budget's
+// slots and is full, so those writes make room: they queue the live
+// entries they meet again and drop the items that are no longer entries.
 // Eviction reads the ring's items without asking the map, so a stale one
 // may cost it a refused conditional delete but neither the budget nor
-// the preference for cold entries.
+// the preference for hot entries.
 func TestEvictionBudgetStaleRing(t *testing.T) {
 	clk := newFakeClock()
 	const budget = 128
@@ -412,8 +412,8 @@ func TestEvictionBudgetStaleRing(t *testing.T) {
 }
 
 // holdsBudgetPreferringHot takes a cache holding budget cold keys
-// 0..budget-1, makes the first half of lo..budget-1 hot (a much later
-// access clock), pushes 4× the budget of fresh keys through, and checks
+// 0..budget-1, makes the first half of lo..budget-1 hot (a read marks
+// them visited), pushes 4× the budget of fresh keys through, and checks
 // that the size held near the budget and that, within lo..budget-1, hot
 // keys outlived cold ones.
 func holdsBudgetPreferringHot(t *testing.T, clk *fakeClock, c *Cache[evKey, string], budget, lo evKey) {
@@ -432,7 +432,8 @@ func holdsBudgetPreferringHot(t *testing.T, clk *fakeClock, c *Cache[evKey, stri
 	if c.Stats().Evicted == 0 {
 		t.Fatal("no evictions recorded")
 	}
-	// Approximate LRU: hot survivors must not lose to cold survivors.
+	// A visited entry is passed over once: hot survivors must not lose
+	// to cold survivors.
 	hot, cold := 0, 0
 	for i := lo; i < mid; i++ {
 		if _, ok := c.m.Load(i); ok {
@@ -445,11 +446,47 @@ func holdsBudgetPreferringHot(t *testing.T, clk *fakeClock, c *Cache[evKey, stri
 		}
 	}
 	if hot < cold {
-		t.Fatalf("sampled LRU evicted hot before cold: %d hot vs %d cold survivors", hot, cold)
+		t.Fatalf("eviction took hot before cold: %d hot vs %d cold survivors", hot, cold)
 	}
 }
 
-// TestRingRetentionBounded: the sample ring keeps the items it holds
+// TestOverwritesKeepEntriesQueued: overwrites under the budget fill the
+// ring with items that are no longer entries. A write that finds the
+// ring full must not evict for it, nor let a live entry drop out of the
+// ring, where it could never be evicted again: once 4× the budget of new
+// keys has passed through, none of the old keys, which nobody reads, is
+// still stored.
+func TestOverwritesKeepEntriesQueued(t *testing.T) {
+	clk := newFakeClock()
+	const budget = 128
+	c := newTestCache[evKey, string](clk, growt.WithMaxEntries(budget))
+	defer c.Close()
+	for i := evKey(0); i < budget; i++ {
+		c.SetTTL(i, "first", 0)
+	}
+	for round := 0; round < 3; round++ {
+		for i := evKey(budget / 2); i < budget; i++ {
+			c.SetTTL(i, "again", 0)
+		}
+	}
+	if st := c.Stats(); st.Evicted != 0 || c.Len() != budget {
+		t.Fatalf("overwrites under the budget left %d entries and evicted %d", c.Len(), st.Evicted)
+	}
+	for i := evKey(1000); i < 1000+4*budget; i++ {
+		c.SetTTL(i, "new", 0)
+	}
+	old := 0
+	for i := evKey(0); i < budget; i++ {
+		if _, ok := c.m.Load(i); ok {
+			old++
+		}
+	}
+	if old > 0 {
+		t.Fatalf("%d of %d old keys still stored after %d new ones", old, budget, 4*budget)
+	}
+}
+
+// TestRingRetentionBounded: the eviction ring keeps the items it holds
 // reachable, values included, so it must not be much larger than the
 // budget. A budget of 10 fed 64 KiB values, first under new keys and
 // then as overwrites of ten keys, keeps the heap within a few budgets'
@@ -478,6 +515,44 @@ func TestRingRetentionBounded(t *testing.T) {
 		if grown := heap() - base; grown > 4*budget*size {
 			t.Fatalf("%s: heap grew %d KiB after %d writes, more than 4 budgets of %d KiB values (%d KiB)",
 				phase.name, grown>>10, writes, size>>10, 4*budget*size>>10)
+		}
+	}
+}
+
+// TestPagesFollowBudget: a budgeted cache fed never-reused keys holds
+// about its budget of arena pages, whatever the write rate per TTL and
+// with or without a TTL. Entries nobody reads leave in write order, so
+// the pages they filled retire in order too; an eviction order that
+// leaves survivors on old pages holds pages in proportion to the writes
+// within one TTL instead. The count is the growt_generic_pages_live
+// gauge's change over the cache's life, so the test must not run in
+// parallel with others that build generic-route maps.
+func TestPagesFollowBudget(t *testing.T) {
+	const budget = 4096
+	pagesLive := obs.Default.Gauge("growt_generic_pages_live")
+	for _, tc := range []struct {
+		ttl    time.Duration
+		perTTL int // writes per second of the clock, in budgets
+	}{
+		{0, 5}, {0, 20}, {time.Second, 5}, {time.Second, 20},
+	} {
+		clk := newFakeClock()
+		before := pagesLive.Value()
+		c := newTestCache[uint64, string](clk, growt.WithMaxEntries(budget))
+		step := time.Second / time.Duration(tc.perTTL*budget)
+		for k := uint64(0); k < 40*budget; k++ {
+			c.SetTTL(k, "v", tc.ttl)
+			clk.advance(step)
+			if (k+1)%1024 == 0 {
+				c.SweepOnce(1024)
+			}
+		}
+		pages := pagesLive.Value() - before
+		c.Close()
+		t.Logf("ttl %v, %d× the budget written per second: %d pages live", tc.ttl, tc.perTTL, pages)
+		if pages > budget/256+2 {
+			t.Errorf("ttl %v, %d× the budget written per second: %d pages live, more than the %d that hold the budget",
+				tc.ttl, tc.perTTL, pages, budget/256+2)
 		}
 	}
 }
@@ -597,7 +672,7 @@ func (v *countingView[K, V]) CompareAndDelete(k K, old *item[V]) bool {
 
 // TestEvictionAsksMapOnce: an over-budget Set stores its item, evicts,
 // and asks the map for nothing else than one conditional delete per
-// eviction attempt — the sampled candidates are read from the ring's
+// eviction attempt — the hand's candidates are read from the ring's
 // items, not looked up by key.
 func TestEvictionAsksMapOnce(t *testing.T) {
 	clk := newFakeClock()

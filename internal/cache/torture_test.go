@@ -213,6 +213,49 @@ func TestCacheTortureBudgetHolds(t *testing.T) {
 	}
 }
 
+// TestCacheTortureSmallBudgetRecovers: eight writers overwrite, delete
+// and add keys through budgets of 2 to 8 entries without a TTL, so the
+// ring is full most of the time and the hand keeps catching the tail,
+// meeting slots reserved by writes that have not stored their item yet.
+// An entry that dropped out of the ring while still stored could never
+// be evicted again, and with no TTL it would stay for good: after the
+// storm, a few quiescent writes must bring the size back to the budget.
+func TestCacheTortureSmallBudgetRecovers(t *testing.T) {
+	perWorker := 20_000
+	if testing.Short() {
+		perWorker = 4_000
+	}
+	const workers = 8
+	for _, budget := range []uint64{2, 3, 5, 8} {
+		c := New[evKey, int64](growt.WithMaxEntries(budget), growt.WithSweepInterval(-1))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					k := evKey(uint64(w)<<32 | uint64(i))
+					switch i % 4 {
+					case 1, 2: // overwrite one of the worker's last few keys
+						k = evKey(uint64(w)<<32 | uint64(i&^7))
+					case 3:
+						c.Delete(evKey(uint64(w)<<32 | uint64(i-3)))
+					}
+					c.SetTTL(k, int64(k), 0)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for i := uint64(0); i < 4*budget; i++ {
+			c.SetTTL(evKey(1<<60+i), 0, 0)
+		}
+		if size := c.Len(); size > budget {
+			t.Errorf("budget %d: %d entries stored after the storm drained", budget, size)
+		}
+		c.Close()
+	}
+}
+
 // TestCacheTortureChurnBounded: a 1 000-entry budget over a stream of
 // never-reused keys with a TTL — growd's session-id workload. Every key
 // ever written must be accounted for exactly once — still stored, expired
@@ -226,8 +269,13 @@ func TestCacheTortureChurnBounded(t *testing.T) {
 		total = 100_000
 	}
 	const workers, budget = 4, 1000
-	c := New[evKey, int64](growt.WithMaxEntries(budget), growt.WithTTL(2*time.Millisecond), growt.WithSweepInterval(-1))
+	clk := newFakeClock()
+	c := newTestCache[evKey, int64](clk, growt.WithMaxEntries(budget), growt.WithTTL(2*time.Millisecond))
 	defer c.Close()
+	// Each write advances the clock by ttl/budget, so about a budget of
+	// keys is written per TTL at any speed of the machine: the hand meets
+	// both live and expired entries, and both removal paths run.
+	step := 2 * time.Millisecond / budget
 
 	heapAfterGC := func() uint64 {
 		runtime.GC()
@@ -244,6 +292,7 @@ func TestCacheTortureChurnBounded(t *testing.T) {
 				for i := from; i < to; i++ {
 					k := evKey(uint64(w)<<32 | uint64(i))
 					c.Set(k, int64(k))
+					clk.advance(step)
 					if v, ok := c.Get(k); ok && v != int64(k) {
 						t.Errorf("key %#x read back %#x", uint64(k), v)
 						return
@@ -272,6 +321,102 @@ func TestCacheTortureChurnBounded(t *testing.T) {
 	c.m.Range(func(evKey, *item[int64]) bool { stored++; return true })
 	if written := uint64(total / workers * workers); stored+st.Expired+st.Evicted != written || stored != c.Len() {
 		t.Fatalf("%d keys written, but %d stored (Len %d) + %d expired + %d evicted", written, stored, c.Len(), st.Expired, st.Evicted)
+	}
+}
+
+// TestCacheTortureHotSetSurvives: two readers loop over 64 hot keys while
+// four writers push never-reused keys through a 1 000-entry budget,
+// sweeping as they go. Every write advances the fake clock by 1µs, and
+// every other key lives 300µs, so it expires long before the hand
+// reaches it while its neighbours are evicted: eviction, lazy collection
+// and the sweeper all race the ring's hand and tail. Every key written is
+// still stored, expired or evicted exactly once; the budget holds within
+// TestCacheTortureBudgetHolds' slack; and the hot keys, read between any
+// two passes of the hand, outlive the churn. The writers wait whenever
+// the last complete pass over the hot set began more than 256 writes
+// ago, so what makes a key hot is the workload, not the scheduler.
+func TestCacheTortureHotSetSurvives(t *testing.T) {
+	total := 200_000
+	if testing.Short() {
+		total = 20_000
+	}
+	const workers, readers, budget, hot = 4, 2, 1000, 64
+	clk := newFakeClock()
+	c := newTestCache[evKey, int64](clk, growt.WithMaxEntries(budget))
+	defer c.Close()
+	for k := evKey(0); k < hot; k++ {
+		c.SetTTL(k, int64(k), 0)
+	}
+
+	var stop atomic.Bool
+	// readFrom is the write count when the last complete pass over the
+	// hot set began (two readers may store it out of order, which only
+	// makes the writers wait longer).
+	var readFrom, written, over atomic.Int64
+	var rwg, wwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for !stop.Load() {
+				from := written.Load()
+				for k := evKey(0); k < hot; k++ {
+					if v, ok := c.Get(k); ok && v != int64(k) {
+						t.Errorf("hot key %d read back %d", k, v)
+					}
+				}
+				readFrom.Store(from)
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			for i := 0; i < total/workers; i++ {
+				for written.Load()-readFrom.Load() > 256 {
+					runtime.Gosched()
+				}
+				k, ttl := evKey(uint64(w+1)<<32|uint64(i)), time.Duration(0)
+				if i%2 == 0 {
+					ttl = 300 * time.Microsecond
+				}
+				c.SetTTL(k, int64(k), ttl)
+				clk.advance(time.Microsecond)
+				written.Add(1)
+				if s := int64(c.Len()) - (budget + workers*maxEvictPerWrite); s > over.Load() {
+					over.Store(s) // racy max is fine: any positive is a report
+				}
+				if i%512 == 0 {
+					c.SweepOnce(256)
+				}
+			}
+		}(w)
+	}
+	wwg.Wait()
+	stop.Store(true)
+	rwg.Wait()
+
+	if o := over.Load(); o > 0 {
+		t.Errorf("budget overshot concurrency slack by %d entries", o)
+	}
+	st := c.Stats()
+	if st.Expired == 0 || st.Evicted == 0 {
+		t.Errorf("expired %d, evicted %d: both removal paths must have run", st.Expired, st.Evicted)
+	}
+	stored, hotStored := uint64(0), 0
+	c.m.Range(func(k evKey, _ *item[int64]) bool {
+		stored++
+		if k < hot {
+			hotStored++
+		}
+		return true
+	})
+	if all := uint64(hot + total/workers*workers); stored+st.Expired+st.Evicted != all {
+		t.Fatalf("%d keys written, but %d stored + %d expired + %d evicted", all, stored, st.Expired, st.Evicted)
+	}
+	if hotStored < hot*9/10 {
+		t.Fatalf("%d of %d hot keys stored after the churn, fewer than 90 %%", hotStored, hot)
 	}
 }
 

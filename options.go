@@ -65,7 +65,8 @@ type CacheSettings struct {
 	// a per-entry TTL.
 	TTL time.Duration
 	// MaxEntries bounds the cache's live element count; once the size
-	// exceeds it, writes evict sampled least-recently-accessed entries.
+	// exceeds it, writes evict entries not read since the eviction hand
+	// last passed them (CLOCK with SIEVE's visited mark).
 	// Zero means unbounded.
 	MaxEntries uint64
 	// SweepInterval is the tick of the background expiry sweeper. Zero
@@ -82,9 +83,9 @@ func WithTTL(d time.Duration) Option {
 }
 
 // WithMaxEntries bounds the cache's live element count: beyond it,
-// writes evict sampled least-recently-accessed entries until the size is
-// back under budget. Consumed by the cache layer; the plain typed map
-// ignores it.
+// writes evict entries not read since the eviction hand last passed them
+// (CLOCK with SIEVE's visited mark) until the size is back under budget.
+// Consumed by the cache layer; the plain typed map ignores it.
 func WithMaxEntries(n uint64) Option {
 	return func(c *config) { c.cache.MaxEntries = n }
 }
